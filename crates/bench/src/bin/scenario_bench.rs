@@ -34,12 +34,10 @@
 //! `RECSHARD_BENCH_TOLERANCE`, `RECSHARD_BENCH_ALLOW_DRIFT`,
 //! `RECSHARD_OBS_DIR`.
 
-#![allow(clippy::print_stdout, clippy::print_stderr)]
-use recshard_bench::report::RunReport;
-use recshard_bench::scenario_bench::{
-    fingerprint_drift, run_sweep, throughput_regressions, traced_smoke, ScenarioBenchConfig,
-    SCENARIOS,
-};
+#![allow(clippy::print_stdout)]
+use recshard_bench::artifact::{self, Artifact};
+use recshard_bench::report::{export_obs_from_env, RunReport};
+use recshard_bench::scenario_bench::{run_sweep, traced_smoke, ScenarioBenchConfig, SCENARIOS};
 
 fn main() {
     let cfg = ScenarioBenchConfig::from_env();
@@ -60,70 +58,15 @@ fn main() {
     );
     let report = run_sweep(&cfg);
 
-    // Trajectory gates against a previously committed BENCH_scenarios.json.
-    // Read the baseline *before* overwriting it below.
-    if let Ok(baseline_path) = std::env::var("RECSHARD_BENCH_BASELINE") {
-        let tolerance = std::env::var("RECSHARD_BENCH_TOLERANCE")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(0.25);
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-        let allow_drift = std::env::var("RECSHARD_BENCH_ALLOW_DRIFT").as_deref() == Ok("1");
-        let drifts = fingerprint_drift(&report, &baseline);
-        if drifts.is_empty() {
-            println!("no fingerprint drift vs {baseline_path}");
-        } else if allow_drift {
-            for drift in &drifts {
-                println!("note (drift allowed): {drift}");
-            }
-        } else {
-            for drift in &drifts {
-                eprintln!("FINGERPRINT DRIFT: {drift}");
-            }
-            eprintln!(
-                "fingerprints drifted from {baseline_path}; if the behaviour change is \
-                 intentional, re-run with RECSHARD_BENCH_ALLOW_DRIFT=1 and commit the \
-                 regenerated BENCH_scenarios.json"
-            );
-            std::process::exit(1);
-        }
-        let regressions = throughput_regressions(&report, &baseline, tolerance);
-        if regressions.is_empty() {
-            println!(
-                "no events/sec regressions vs {baseline_path} (tolerance {:.0}%)",
-                tolerance * 100.0
-            );
-        } else {
-            for r in &regressions {
-                eprintln!("THROUGHPUT REGRESSION: {r}");
-            }
-            std::process::exit(1);
-        }
+    // Gate against a previously committed BENCH_scenarios.json, read before
+    // it is overwritten below.
+    if !artifact::gate_from_env(&report).expect("read RECSHARD_BENCH_BASELINE") {
+        std::process::exit(1);
     }
+    export_obs_from_env("scenario", || traced_smoke(&cfg))
+        .expect("write RECSHARD_OBS_DIR artifacts");
 
-    // Observability artifact export: one traced flash-crowd smoke run.
-    if let Ok(dir) = std::env::var("RECSHARD_OBS_DIR") {
-        let (summary, bundle) = traced_smoke(&cfg);
-        std::fs::create_dir_all(&dir).expect("create RECSHARD_OBS_DIR");
-        let path = |name: &str| format!("{dir}/{name}");
-        std::fs::write(path("scenario_trace.jsonl"), bundle.trace.to_jsonl())
-            .expect("write scenario_trace.jsonl");
-        std::fs::write(path("scenario_trace.chrome.json"), bundle.trace.to_chrome())
-            .expect("write scenario_trace.chrome.json");
-        std::fs::write(path("scenario_metrics.json"), bundle.metrics.to_json())
-            .expect("write scenario_metrics.json");
-        let mut obs = RunReport::new("observability export");
-        obs.push("directory", &dir)
-            .push("trace records", bundle.trace.len())
-            .push_fingerprint("trace fingerprint", bundle.trace.fingerprint())
-            .push_fingerprint("metrics fingerprint", bundle.metrics.fingerprint())
-            .push_fingerprint("event-log fingerprint", summary.fingerprint);
-        print!("{obs}");
-    }
-
-    let json = report.to_json();
-    std::fs::write("BENCH_scenarios.json", &json).expect("write BENCH_scenarios.json");
+    std::fs::write("BENCH_scenarios.json", report.to_json()).expect("write BENCH_scenarios.json");
     println!();
     let mut summary = RunReport::new("scenario_bench");
     summary

@@ -17,12 +17,18 @@
 //! byte-identical across runs with the same seed — the determinism contract
 //! locked by `tests/golden_fingerprints.rs`).
 //!
+//! Cost gate: when `RECSHARD_BENCH_BASELINE` points at a previously
+//! committed `BENCH_solver.json`, the run fails on scalable-plan cost
+//! regressions beyond `RECSHARD_BENCH_TOLERANCE` (default 2%).
+//!
 //! Environment overrides: `RECSHARD_SOLVER_MAX_TABLES`,
-//! `RECSHARD_SOLVER_MAX_GPUS`, `RECSHARD_SEED`, `RECSHARD_BENCH_TIMING`.
+//! `RECSHARD_SOLVER_MAX_GPUS`, `RECSHARD_SEED`, `RECSHARD_BENCH_TIMING`,
+//! `RECSHARD_BENCH_BASELINE`, `RECSHARD_BENCH_TOLERANCE`.
 
-#![allow(clippy::print_stdout, clippy::print_stderr)]
+#![allow(clippy::print_stdout)]
+use recshard_bench::artifact::{self, Artifact};
 use recshard_bench::report::RunReport;
-use recshard_bench::solver_bench::{cost_regressions, run_sweep, SolverBenchConfig};
+use recshard_bench::solver_bench::{run_sweep, SolverBenchConfig};
 
 fn main() {
     let cfg = SolverBenchConfig::from_env();
@@ -70,32 +76,14 @@ fn main() {
     }
 
     // Perf-trajectory gate: when RECSHARD_BENCH_BASELINE points at a
-    // previously committed BENCH_solver.json, fail on cost-ratio
-    // regressions beyond the tolerance (default 2%) — not on mere
-    // fingerprint drift. Read the baseline *before* overwriting it below.
-    if let Ok(baseline_path) = std::env::var("RECSHARD_BENCH_BASELINE") {
-        let tolerance = std::env::var("RECSHARD_BENCH_TOLERANCE")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(0.02);
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-        let regressions = cost_regressions(&report, &baseline, tolerance);
-        if regressions.is_empty() {
-            println!(
-                "no cost-ratio regressions vs {baseline_path} (tolerance {:.1}%)",
-                tolerance * 100.0
-            );
-        } else {
-            for r in &regressions {
-                eprintln!("COST REGRESSION: {r}");
-            }
-            std::process::exit(1);
-        }
+    // previously committed BENCH_solver.json, fail on cost regressions
+    // beyond the tolerance (default 2%) — not on mere fingerprint drift.
+    // Read the baseline *before* overwriting it below.
+    if !artifact::gate_from_env(&report).expect("read RECSHARD_BENCH_BASELINE") {
+        std::process::exit(1);
     }
 
-    let json = report.to_json();
-    std::fs::write("BENCH_solver.json", &json).expect("write BENCH_solver.json");
+    std::fs::write("BENCH_solver.json", report.to_json()).expect("write BENCH_solver.json");
     println!();
     let worst = report
         .points

@@ -8,7 +8,8 @@
 //! event-log fingerprint, event count, virtual-time makespan/throughput
 //! and sojourn tails — all pure functions of the seed — plus wall-clock
 //! milliseconds and simulator events/sec, which are only written into the
-//! JSON under `RECSHARD_BENCH_TIMING=1` (otherwise the [`TIMING_DISABLED`]
+//! JSON under `RECSHARD_BENCH_TIMING=1` (otherwise the
+//! [`TIMING_DISABLED`](crate::artifact::TIMING_DISABLED)
 //! sentinel keeps the artifact byte-stable, mirroring `BENCH_solver.json`).
 //!
 //! A `contention` sweep rides along: the uniform flat plan and an incast
@@ -19,21 +20,20 @@
 //! incast p99 under processor sharing strictly exceeds the old
 //! split-bandwidth FIFO model's.
 //!
-//! [`throughput_regressions`] is one CI gate: a generous relative
-//! events/sec floor against a previously committed baseline, skipping
-//! sentinel/missing points so untimed or trimmed runs never false-positive.
-//! [`fingerprint_drift`] is the other: *behavioural* drift (any event-log
-//! change) on committed point keys fails `des_bench` unless
-//! `RECSHARD_BENCH_ALLOW_DRIFT=1` acknowledges it as intentional.
+//! The report's [`Artifact`] declaration carries the CI gates: a generous
+//! relative events/sec floor against a previously committed baseline, and
+//! *behavioural* drift (any event-log change, main and contention sweeps)
+//! on committed point keys.
 
-use crate::solver_bench::{bench_system, bench_topology, field_num, fnv_fold, TIMING_DISABLED};
+use crate::artifact::{best_of, point, timing, Artifact, Document, Gate, Spec};
+use crate::report::env_u64;
+use crate::solver_bench::{bench_system, bench_topology};
 use crate::{skewed_model, Strategy};
 use recshard::{HierarchicalSolver, RecShardConfig};
 use recshard_des::{ArrivalProcess, ClusterConfig, ClusterSimulator, ContentionMode, RunSummary};
 use recshard_obs::{Collector, ObsBundle};
-use recshard_sharding::{NodeTopology, ShardingPlan, SystemSpec, TablePlacement};
+use recshard_sharding::{NodeTopology, ShardingPlan, TablePlacement};
 use recshard_stats::{DatasetProfile, DatasetProfiler};
-use std::time::Instant;
 
 /// Sweep configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,16 +98,10 @@ impl DesBenchConfig {
     /// JSON.
     pub fn from_env() -> Self {
         let mut cfg = Self::full();
-        let get = |name: &str| std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok());
-        if let Some(max) = get("RECSHARD_DES_MAX_GPUS") {
-            cfg.gpu_counts.retain(|&g| g as u64 <= max);
-        }
-        if let Some(iters) = get("RECSHARD_DES_ITERS") {
-            cfg.iterations = iters.max(1);
-        }
-        if let Some(seed) = get("RECSHARD_SEED") {
-            cfg.seed = seed;
-        }
+        let max_gpus = env_u64("RECSHARD_DES_MAX_GPUS", u64::MAX);
+        cfg.gpu_counts.retain(|&g| g as u64 <= max_gpus);
+        cfg.iterations = env_u64("RECSHARD_DES_ITERS", cfg.iterations).max(1);
+        cfg.seed = env_u64("RECSHARD_SEED", cfg.seed);
         cfg.include_timing = std::env::var("RECSHARD_BENCH_TIMING").as_deref() == Ok("1");
         cfg
     }
@@ -151,11 +145,11 @@ pub struct DesBenchPoint {
     pub p99_ms: f64,
     /// Order-sensitive FNV-1a hash of the run's entire event log.
     pub fingerprint: u64,
-    /// Best-of-[`TIMING_REPS`] wall-clock run time (ms), or
-    /// [`TIMING_DISABLED`].
+    /// Best-of-[`TIMING_REPS`](crate::artifact::TIMING_REPS) wall-clock run
+    /// time (ms), or [`TIMING_DISABLED`](crate::artifact::TIMING_DISABLED).
     pub wall_ms: f64,
     /// Simulator events per wall-clock second (best repetition), or
-    /// [`TIMING_DISABLED`].
+    /// [`TIMING_DISABLED`](crate::artifact::TIMING_DISABLED).
     pub events_per_sec: f64,
 }
 
@@ -217,41 +211,6 @@ fn sweep_plans(
         .solve(&model, profile, &system)
         .expect("hierarchical solve failed");
     vec![(1, flat), (topology.num_nodes, hier)]
-}
-
-/// Wall-clock repetitions per timed point. The simulated run is a pure
-/// function of the seed, so every repetition produces the identical
-/// summary (asserted) — only the wall time varies with scheduler noise.
-/// Best-of-N keeps the recorded events/sec stable enough for the
-/// regression gate's 25% margin to mean something.
-const TIMING_REPS: usize = 3;
-
-fn simulate(
-    cfg: &DesBenchConfig,
-    profile: &DatasetProfile,
-    system: &SystemSpec,
-    plan: &ShardingPlan,
-) -> (RunSummary, f64) {
-    let model = skewed_model(cfg.tables);
-    let reps = if cfg.include_timing { TIMING_REPS } else { 1 };
-    let mut best: Option<(RunSummary, f64)> = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let summary =
-            ClusterSimulator::new(&model, plan, profile, system, cfg.cluster_config()).run();
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        best = Some(match best {
-            None => (summary, wall_ms),
-            Some((prev, prev_ms)) => {
-                assert_eq!(
-                    prev, summary,
-                    "seeded repetitions must replay bit-identically"
-                );
-                (prev, prev_ms.min(wall_ms))
-            }
-        });
-    }
-    best.expect("at least one repetition")
 }
 
 /// The incast plan of the contention sweep: every table lives (all-HBM) on
@@ -345,7 +304,9 @@ pub fn run_sweep(cfg: &DesBenchConfig) -> DesBenchReport {
     for &gpus in &cfg.gpu_counts {
         let system = bench_system(model.total_bytes(), gpus);
         for (nodes, plan) in sweep_plans(cfg, &profile, gpus) {
-            let (summary, wall_ms) = simulate(cfg, &profile, &system, &plan);
+            let (summary, wall_ms) = best_of(cfg.include_timing, || {
+                ClusterSimulator::new(&model, &plan, &profile, &system, cfg.cluster_config()).run()
+            });
             let events_per_sec = summary.events as f64 / (wall_ms / 1e3).max(1e-12);
             println!(
                 "des_bench: {gpus} GPUs x {nodes} node(s): {} events in {wall_ms:.1} ms \
@@ -357,13 +318,6 @@ pub fn run_sweep(cfg: &DesBenchConfig) -> DesBenchReport {
                 summary.p99_ms,
                 summary.fingerprint,
             );
-            let gate = |v: f64| {
-                if cfg.include_timing {
-                    v
-                } else {
-                    TIMING_DISABLED
-                }
-            };
             points.push(DesBenchPoint {
                 gpus,
                 nodes,
@@ -375,8 +329,8 @@ pub fn run_sweep(cfg: &DesBenchConfig) -> DesBenchReport {
                 p50_ms: summary.p50_ms,
                 p99_ms: summary.p99_ms,
                 fingerprint: summary.fingerprint,
-                wall_ms: gate(wall_ms),
-                events_per_sec: gate(events_per_sec),
+                wall_ms: timing(cfg.include_timing, wall_ms),
+                events_per_sec: timing(cfg.include_timing, events_per_sec),
             });
         }
     }
@@ -409,227 +363,45 @@ pub fn traced_smoke(cfg: &DesBenchConfig) -> (RunSummary, ObsBundle) {
     (summary, collector.finish())
 }
 
-impl DesBenchReport {
-    /// Canonical JSON serialisation (the `BENCH_des.json` payload): key
-    /// order fixed, floats in `{:.9e}`, one point per line.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"bench\": \"des_throughput\",\n");
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"timed\": {},\n", self.timed));
-        out.push_str("  \"timing_sentinel\": \"-1 = timing disabled for byte-stable output\",\n");
-        out.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            let f = |x: f64| format!("{x:.9e}");
-            out.push_str(&format!(
-                "    {{\"gpus\": {}, \"nodes\": {}, \"iterations\": {}, \
-                 \"events\": {}, \"reshards\": {}, \"makespan_ms\": {}, \
-                 \"virtual_iters_per_s\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \
-                 \"fingerprint\": \"{:#018x}\", \
-                 \"wall_ms\": {}, \"events_per_sec\": {}}}{}\n",
-                p.gpus,
-                p.nodes,
-                p.iterations,
-                p.events,
-                p.reshards,
-                f(p.makespan_ms),
-                f(p.virtual_iters_per_s),
-                f(p.p50_ms),
-                f(p.p99_ms),
-                p.fingerprint,
-                f(p.wall_ms),
-                f(p.events_per_sec),
-                if i + 1 < self.points.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"contention\": [\n");
-        for (i, p) in self.contention.iter().enumerate() {
-            let f = |x: f64| format!("{x:.9e}");
-            out.push_str(&format!(
-                "    {{\"scenario\": \"{}\", \"mode\": \"{}\", \"gpus\": {}, \
-                 \"nodes\": {}, \"iterations\": {}, \"events\": {}, \
-                 \"makespan_ms\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \
-                 \"fingerprint\": \"{:#018x}\"}}{}\n",
-                p.scenario,
-                p.mode,
-                p.gpus,
-                p.nodes,
-                p.iterations,
-                p.events,
-                f(p.makespan_ms),
-                f(p.p50_ms),
-                f(p.p99_ms),
-                p.fingerprint,
-                if i + 1 < self.contention.len() {
-                    ","
-                } else {
-                    ""
-                },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// FNV-1a fingerprint over the canonical JSON with timing fields
-    /// blanked, so the value is identical whether or not timing ran.
-    pub fn fingerprint(&self) -> u64 {
-        let mut untimed = self.clone();
-        untimed.timed = false;
-        for p in &mut untimed.points {
-            p.wall_ms = TIMING_DISABLED;
-            p.events_per_sec = TIMING_DISABLED;
-        }
-        let mut hash = 0xCBF2_9CE4_8422_2325u64;
-        for byte in untimed.to_json().bytes() {
-            fnv_fold(&mut hash, byte as u64);
-        }
-        hash
-    }
-}
-
-/// Extracts the hex fingerprint string from one canonical-JSON point line.
-fn field_fingerprint(line: &str) -> Option<&str> {
-    let key = "\"fingerprint\": \"";
-    let start = line.find(key)? + key.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// Extracts a quoted string field from one canonical-JSON point line.
-fn field_str<'a>(line: &'a str, name: &str) -> Option<&'a str> {
-    let key = format!("\"{name}\": \"");
-    let start = line.find(&key)? + key.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// Parses the `(scenario, mode, gpus, nodes, iterations)` identity of one
-/// baseline point line (the key the gates match on). Main-sweep points —
-/// and every line of a baseline predating the contention sweep — carry no
-/// scenario/mode fields, which parse as empty strings, so old baselines
-/// keep matching the main sweep and never collide with contention keys.
-fn point_key(line: &str) -> Option<(String, String, usize, usize, u64)> {
-    Some((
-        field_str(line, "scenario").unwrap_or("").to_string(),
-        field_str(line, "mode").unwrap_or("").to_string(),
-        field_num(line, "gpus")? as usize,
-        field_num(line, "nodes")? as usize,
-        field_num(line, "iterations")? as u64,
-    ))
-}
-
-/// Compares a freshly computed (timed) report against a previously
-/// committed `BENCH_des.json` payload and returns one human-readable line
-/// per *throughput regression*: a point (matched on `gpus` × `nodes` ×
-/// `iterations`) whose wall-clock events/sec fell below `1 - tolerance`
-/// times the baseline's. Points missing on either side, and points whose
-/// timing is the [`TIMING_DISABLED`] sentinel on either side, are skipped
-/// — untimed runs and trimmed sweeps never false-positive. The default CI
-/// tolerance is generous (25%) because wall-clock rates on shared runners
-/// are noisy; the gate exists to catch order-of-magnitude instrumentation
-/// slowdowns, not scheduler jitter.
-pub fn throughput_regressions(
-    current: &DesBenchReport,
-    baseline_json: &str,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut baseline = Vec::new(); // (key, events_per_sec)
-    for line in baseline_json.lines() {
-        let (Some(key), Some(rate)) = (point_key(line), field_num(line, "events_per_sec")) else {
-            continue;
-        };
-        baseline.push((key, rate));
-    }
-    let mut regressions = Vec::new();
-    for p in &current.points {
-        if p.events_per_sec <= 0.0 {
-            continue; // sentinel: this run was untimed
-        }
-        let key = (String::new(), String::new(), p.gpus, p.nodes, p.iterations);
-        let Some(&(_, base)) = baseline.iter().find(|(k, _)| *k == key) else {
-            continue;
-        };
-        if base <= 0.0 {
-            continue; // baseline was untimed
-        }
-        if p.events_per_sec < base * (1.0 - tolerance) {
-            regressions.push(format!(
-                "{} GPUs x {} node(s) x {} iters: {:.0} events/s is more than {:.0}% below \
-                 the baseline's {:.0} events/s",
-                p.gpus,
-                p.nodes,
-                p.iterations,
-                p.events_per_sec,
-                tolerance * 100.0,
-                base,
-            ));
-        }
-    }
-    regressions
-}
-
-/// Compares event-log fingerprints against a previously committed
-/// `BENCH_des.json` payload (matched on `scenario` × `mode` × `gpus` ×
-/// `nodes` × `iterations`; main-sweep keys have empty scenario/mode) and
-/// returns one line per drifted point, contention sweep included. Drift
-/// means the simulated behaviour changed — `des_bench` *fails* on it
-/// unless `RECSHARD_BENCH_ALLOW_DRIFT=1` acknowledges an intentional
-/// change (e.g. solver work that legitimately moves plans); points missing
-/// on either side are skipped, so trimmed sweeps never false-positive.
-pub fn fingerprint_drift(current: &DesBenchReport, baseline_json: &str) -> Vec<String> {
-    let mut baseline = Vec::new(); // (key, fingerprint string)
-    for line in baseline_json.lines() {
-        let (Some(key), Some(fp)) = (point_key(line), field_fingerprint(line)) else {
-            continue;
-        };
-        baseline.push((key, fp.to_string()));
-    }
-    let mut drifted = Vec::new();
-    let mut check = |key: (String, String, usize, usize, u64), fingerprint: u64| {
-        let Some((_, base)) = baseline.iter().find(|(k, _)| *k == key) else {
-            return;
-        };
-        let fp = format!("{fingerprint:#018x}");
-        if &fp != base {
-            let (scenario, mode, gpus, nodes, iterations) = key;
-            let label = if scenario.is_empty() {
-                String::new()
-            } else {
-                format!("{scenario}/{mode} ")
-            };
-            drifted.push(format!(
-                "{label}{gpus} GPUs x {nodes} node(s) x {iterations} iters: event-log \
-                 fingerprint {fp} differs from baseline {base}",
-            ));
-        }
+impl Artifact for DesBenchReport {
+    const SPEC: Spec = Spec {
+        // The artifact's historical name, kept so its bytes stay stable.
+        bench: "des_throughput",
+        key: &["scenario", "mode", "gpus", "nodes", "iterations"],
+        timing: &["wall_ms", "events_per_sec"],
+        gates: &[Gate::Drift("fingerprint"), Gate::Floor("events_per_sec")],
+        tolerance: 0.25,
     };
-    for p in &current.points {
-        check(
-            (String::new(), String::new(), p.gpus, p.nodes, p.iterations),
-            p.fingerprint,
-        );
+
+    fn document(&self) -> Document {
+        let points = self.points.iter().map(|p| {
+            point!(p;
+                gpus: int, nodes: int, iterations: int, events: int, reshards: int,
+                makespan_ms: float, virtual_iters_per_s: float, p50_ms: float, p99_ms: float,
+                fingerprint: hex, wall_ms: float, events_per_sec: float,
+            )
+        });
+        let contention = self.contention.iter().map(|p| {
+            point!(p;
+                scenario: text, mode: text, gpus: int, nodes: int, iterations: int, events: int,
+                makespan_ms: float, p50_ms: float, p99_ms: float, fingerprint: hex,
+            )
+        });
+        Document {
+            seed: self.seed,
+            timed: self.timed,
+            sections: vec![
+                ("points", points.collect()),
+                ("contention", contention.collect()),
+            ],
+        }
     }
-    for p in &current.contention {
-        check(
-            (
-                p.scenario.clone(),
-                p.mode.clone(),
-                p.gpus,
-                p.nodes,
-                p.iterations,
-            ),
-            p.fingerprint,
-        );
-    }
-    drifted
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::TIMING_DISABLED;
 
     #[test]
     fn tiny_sweep_is_deterministic_and_sound() {
@@ -682,66 +454,6 @@ mod tests {
         assert_eq!(untimed.fingerprint(), timed.fingerprint());
         assert!(timed.points[0].wall_ms >= 0.0);
         assert!(timed.points[0].events_per_sec > 0.0);
-    }
-
-    #[test]
-    fn throughput_gate_and_drift_report_behave() {
-        let mut cfg = DesBenchConfig::tiny();
-        cfg.iterations = 60;
-        cfg.include_timing = true;
-        let report = run_sweep(&cfg);
-        let baseline = report.to_json();
-
-        assert!(
-            throughput_regressions(&report, &baseline, 0.25).is_empty(),
-            "a report can never regress against its own serialisation"
-        );
-        assert!(fingerprint_drift(&report, &baseline).is_empty());
-
-        // Halving every rate must trip a 25% gate on every matched point.
-        let mut slowed = report.clone();
-        for p in &mut slowed.points {
-            p.events_per_sec *= 0.5;
-        }
-        let regressions = throughput_regressions(&slowed, &baseline, 0.25);
-        assert_eq!(
-            regressions.len(),
-            report.points.len(),
-            "every slowed point must be flagged: {regressions:?}"
-        );
-        // ... and a very loose gate accepts the same drift.
-        assert!(throughput_regressions(&slowed, &baseline, 0.6).is_empty());
-
-        // Sentinel timings on the current side are skipped, not flagged.
-        let mut untimed = report.clone();
-        for p in &mut untimed.points {
-            p.wall_ms = TIMING_DISABLED;
-            p.events_per_sec = TIMING_DISABLED;
-        }
-        assert!(throughput_regressions(&untimed, &baseline, 0.25).is_empty());
-
-        // A mutated fingerprint is reported as drift but never as a
-        // throughput regression.
-        let mut drifted = report.clone();
-        drifted.points[0].fingerprint ^= 1;
-        assert_eq!(fingerprint_drift(&drifted, &baseline).len(), 1);
-        assert!(throughput_regressions(&drifted, &baseline, 0.25).is_empty());
-
-        // Contention points are drift-gated on their own scenario/mode keys.
-        let mut cdrift = report.clone();
-        cdrift.contention[0].fingerprint ^= 1;
-        let lines = fingerprint_drift(&cdrift, &baseline);
-        assert_eq!(lines.len(), 1);
-        assert!(
-            lines[0].contains(&cdrift.contention[0].scenario),
-            "drift line must name the scenario: {lines:?}"
-        );
-
-        // Trimming the sweep on either side is ignored.
-        let mut trimmed = report.clone();
-        trimmed.points.truncate(1);
-        assert!(throughput_regressions(&trimmed, &baseline, 0.25).is_empty());
-        assert!(fingerprint_drift(&trimmed, &baseline).is_empty());
     }
 
     #[test]

@@ -19,6 +19,7 @@
 // machine-readable output goes to the BENCH_*.json artifacts instead.
 #![allow(clippy::print_stdout)]
 
+pub mod artifact;
 pub mod des_bench;
 pub mod report;
 pub mod scenario_bench;
@@ -191,9 +192,9 @@ impl ExperimentSetup {
 /// A deliberately skewed multi-hot Zipf feature universe: every table
 /// power-law distributed (exponents 1.05–1.6), table sizes spanning two
 /// orders of magnitude, mixed pooling and coverage. This is the canonical
-/// "skewed workload" shared by the `des_throughput` binary and the DES
-/// integration tests, where hot-row placement decides how much traffic
-/// crosses the UVM link.
+/// "skewed workload" shared by the `des_bench`, `solver_scaling` and
+/// `serve_qps` binaries and the DES integration tests, where hot-row
+/// placement decides how much traffic crosses the UVM link.
 pub fn skewed_model(tables: usize) -> ModelSpec {
     let features = (0..tables)
         .map(|i| {

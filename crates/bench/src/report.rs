@@ -1,14 +1,16 @@
 //! Shared reporting for the bench binaries, built on the `recshard-obs`
 //! run-report layer.
 //!
-//! Every throughput binary used to hand-roll the same three things: a
-//! `u64` environment-override reader, an events/sec line, and a
-//! determinism footer asserting that a same-seed replay reproduced the
-//! first run's fingerprint. They now all come from here, rendered through
-//! [`RunReport`] so the output format is uniform across
-//! `des_throughput`, `serve_qps`, `solver_scaling` and `des_bench`.
+//! The pieces every throughput binary needs: a `u64` environment-override
+//! reader, a determinism footer asserting that a same-seed replay
+//! reproduced the first run's fingerprint, and the `RECSHARD_OBS_DIR`
+//! export of a traced smoke run, all rendered through [`RunReport`] so the
+//! output format is uniform across `serve_qps`, `solver_scaling`,
+//! `des_bench` and `scenario_bench`.
 
-pub use recshard_obs::{events_per_sec, RunReport};
+use recshard_des::RunSummary;
+use recshard_obs::ObsBundle;
+pub use recshard_obs::RunReport;
 
 /// Reads a `u64` environment override, falling back to `default` when the
 /// variable is unset or unparseable.
@@ -38,6 +40,37 @@ pub fn determinism_report(label: &str, first: u64, replay: u64) -> RunReport {
         .push_fingerprint("replay", replay)
         .push("byte-identical", true);
     report
+}
+
+/// When `RECSHARD_OBS_DIR` is set, runs `smoke` (one seeded run with a
+/// collector attached) and writes `{prefix}_trace.jsonl`,
+/// `{prefix}_trace.chrome.json` (load it in `chrome://tracing` or Perfetto)
+/// and `{prefix}_metrics.json` there, then prints what it wrote.
+///
+/// # Errors
+///
+/// Returns the I/O error if the directory or a file cannot be written.
+pub fn export_obs_from_env(
+    prefix: &str,
+    smoke: impl FnOnce() -> (RunSummary, ObsBundle),
+) -> std::io::Result<()> {
+    let Ok(dir) = std::env::var("RECSHARD_OBS_DIR") else {
+        return Ok(());
+    };
+    let (summary, bundle) = smoke();
+    std::fs::create_dir_all(&dir)?;
+    let path = |name: &str| format!("{dir}/{prefix}_{name}");
+    std::fs::write(path("trace.jsonl"), bundle.trace.to_jsonl())?;
+    std::fs::write(path("trace.chrome.json"), bundle.trace.to_chrome())?;
+    std::fs::write(path("metrics.json"), bundle.metrics.to_json())?;
+    let mut obs = RunReport::new("observability export");
+    obs.push("directory", &dir)
+        .push("trace records", bundle.trace.len())
+        .push_fingerprint("trace fingerprint", bundle.trace.fingerprint())
+        .push_fingerprint("metrics fingerprint", bundle.metrics.fingerprint())
+        .push_fingerprint("event-log fingerprint", summary.fingerprint);
+    print!("{obs}");
+    Ok(())
 }
 
 #[cfg(test)]

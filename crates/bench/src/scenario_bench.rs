@@ -11,18 +11,21 @@
 //! serve report's latency tails, hit rate and fingerprint — all pure
 //! functions of the seed. Wall-clock fields follow the `des_bench`
 //! convention: written only under `RECSHARD_BENCH_TIMING=1`, otherwise the
-//! [`TIMING_DISABLED`] sentinel keeps the artifact byte-stable.
+//! [`TIMING_DISABLED`](crate::artifact::TIMING_DISABLED) sentinel keeps the
+//! artifact byte-stable.
 //!
 //! The sweep asserts the scenario engine's acceptance criteria in-line:
 //! the flash crowd strictly inflates every placement's DES p99 over the
 //! stationary run's, the drift storm triggers at least one controller
 //! re-shard somewhere in the sweep, and stationary traffic triggers none.
 //!
-//! [`fingerprint_drift`] gates CI on both fingerprints per point;
-//! [`throughput_regressions`] adds the same generous wall-clock floor as
-//! `des_bench` when timing is on.
+//! The report's [`Artifact`] declaration gates CI on both fingerprints per
+//! point and adds the same generous wall-clock floor as `des_bench` when
+//! timing is on.
 
-use crate::solver_bench::{bench_system, field_num, fnv_fold, TIMING_DISABLED};
+use crate::artifact::{best_of, point, timing, Artifact, Document, Gate, Spec};
+use crate::report::env_u64;
+use crate::solver_bench::bench_system;
 use crate::Strategy;
 use recshard_data::{
     FeatureClass, FeatureId, FeatureSpec, ModelSpec, PoolingSpec, RmKind, ScenarioSpec,
@@ -34,7 +37,6 @@ use recshard_obs::{Collector, ObsBundle};
 use recshard_serve::{ArrivalModel, InferenceServer, PolicyKind, ServeConfig};
 use recshard_sharding::{ShardingPlan, SystemSpec};
 use recshard_stats::{DatasetProfile, DatasetProfiler};
-use std::time::Instant;
 
 /// Sweep configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,13 +111,8 @@ impl ScenarioBenchConfig {
     /// wall times into the JSON.
     pub fn from_env() -> Self {
         let mut cfg = Self::full();
-        let get = |name: &str| std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok());
-        if let Some(iters) = get("RECSHARD_SCENARIO_ITERS") {
-            cfg.iterations = iters.max(1);
-        }
-        if let Some(seed) = get("RECSHARD_SEED") {
-            cfg.seed = seed;
-        }
+        cfg.iterations = env_u64("RECSHARD_SCENARIO_ITERS", cfg.iterations).max(1);
+        cfg.seed = env_u64("RECSHARD_SEED", cfg.seed);
         cfg.include_timing = std::env::var("RECSHARD_BENCH_TIMING").as_deref() == Ok("1");
         cfg
     }
@@ -274,11 +271,11 @@ pub struct ScenarioBenchPoint {
     pub serve_hit_rate: f64,
     /// The serve report's event fingerprint.
     pub serve_fingerprint: u64,
-    /// Best-of-[`TIMING_REPS`] DES wall-clock time (ms), or
-    /// [`TIMING_DISABLED`].
+    /// Best-of-[`TIMING_REPS`](crate::artifact::TIMING_REPS) DES wall-clock
+    /// time (ms), or [`TIMING_DISABLED`](crate::artifact::TIMING_DISABLED).
     pub wall_ms: f64,
     /// DES events per wall-clock second (best repetition), or
-    /// [`TIMING_DISABLED`].
+    /// [`TIMING_DISABLED`](crate::artifact::TIMING_DISABLED).
     pub events_per_sec: f64,
 }
 
@@ -294,10 +291,6 @@ pub struct ScenarioBenchReport {
     pub points: Vec<ScenarioBenchPoint>,
 }
 
-/// Wall-clock repetitions per timed DES run; every repetition must replay
-/// bit-identically (asserted), only the minimum wall time is recorded.
-const TIMING_REPS: usize = 3;
-
 /// A controller re-solving with the same strategy that placed the initial
 /// plan, so a re-shard is a genuine "this placement, re-planned for the
 /// drifted workload" decision.
@@ -308,38 +301,6 @@ fn controller_for(cfg: &ScenarioBenchConfig, strategy: Strategy) -> ReshardContr
               system: &SystemSpec,
               _prev: Option<&ShardingPlan>| { Some(strategy.plan(model, profile, system)) };
     ReshardController::new(cfg.reshard_policy(), Box::new(solver))
-}
-
-fn simulate(
-    cfg: &ScenarioBenchConfig,
-    model: &ModelSpec,
-    profile: &DatasetProfile,
-    system: &SystemSpec,
-    plan: &ShardingPlan,
-    strategy: Strategy,
-    spec: &ScenarioSpec,
-) -> (RunSummary, f64) {
-    let reps = if cfg.include_timing { TIMING_REPS } else { 1 };
-    let mut best: Option<(RunSummary, f64)> = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let summary = ClusterSimulator::new(model, plan, profile, system, cfg.cluster_config())
-            .with_scenario(spec.clone())
-            .with_controller(controller_for(cfg, strategy))
-            .run();
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        best = Some(match best {
-            None => (summary, wall_ms),
-            Some((prev, prev_ms)) => {
-                assert_eq!(
-                    prev, summary,
-                    "seeded repetitions must replay bit-identically"
-                );
-                (prev, prev_ms.min(wall_ms))
-            }
-        });
-    }
-    best.expect("at least one repetition")
 }
 
 /// Runs the sweep.
@@ -361,8 +322,12 @@ pub fn run_sweep(cfg: &ScenarioBenchConfig) -> ScenarioBenchReport {
         let serve_spec = scenario_spec(scenario, cfg.serve_span_s());
         for strategy in Strategy::all() {
             let plan = strategy.plan(&model, &profile, &system);
-            let (summary, wall_ms) =
-                simulate(cfg, &model, &profile, &system, &plan, strategy, &des_spec);
+            let (summary, wall_ms) = best_of(cfg.include_timing, || {
+                ClusterSimulator::new(&model, &plan, &profile, &system, cfg.cluster_config())
+                    .with_scenario(des_spec.clone())
+                    .with_controller(controller_for(cfg, strategy))
+                    .run()
+            });
             let serve = InferenceServer::run_scenario(
                 &model,
                 &plan,
@@ -387,13 +352,6 @@ pub fn run_sweep(cfg: &ScenarioBenchConfig) -> ScenarioBenchReport {
                 serve.hit_rate,
                 serve.fingerprint,
             );
-            let gate = |v: f64| {
-                if cfg.include_timing {
-                    v
-                } else {
-                    TIMING_DISABLED
-                }
-            };
             points.push(ScenarioBenchPoint {
                 scenario: scenario.to_string(),
                 placement: strategy.label().to_string(),
@@ -410,8 +368,8 @@ pub fn run_sweep(cfg: &ScenarioBenchConfig) -> ScenarioBenchReport {
                 serve_p99_ms: serve.p99_ms,
                 serve_hit_rate: serve.hit_rate,
                 serve_fingerprint: serve.fingerprint,
-                wall_ms: gate(wall_ms),
-                events_per_sec: gate(events_per_sec),
+                wall_ms: timing(cfg.include_timing, wall_ms),
+                events_per_sec: timing(cfg.include_timing, events_per_sec),
             });
         }
     }
@@ -480,186 +438,41 @@ pub fn traced_smoke(cfg: &ScenarioBenchConfig) -> (RunSummary, ObsBundle) {
     (summary, bundle)
 }
 
-impl ScenarioBenchReport {
-    /// Canonical JSON serialisation (the `BENCH_scenarios.json` payload):
-    /// key order fixed, floats in `{:.9e}`, one point per line.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"bench\": \"workload_scenarios\",\n");
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"timed\": {},\n", self.timed));
-        out.push_str("  \"timing_sentinel\": \"-1 = timing disabled for byte-stable output\",\n");
-        out.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            let f = |x: f64| format!("{x:.9e}");
-            out.push_str(&format!(
-                "    {{\"scenario\": \"{}\", \"placement\": \"{}\", \"gpus\": {}, \
-                 \"iterations\": {}, \"events\": {}, \"reshards\": {}, \
-                 \"makespan_ms\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \
-                 \"fingerprint\": \"{:#018x}\", \"serve_queries\": {}, \
-                 \"serve_p50_ms\": {}, \"serve_p99_ms\": {}, \"serve_hit_rate\": {}, \
-                 \"serve_fingerprint\": \"{:#018x}\", \
-                 \"wall_ms\": {}, \"events_per_sec\": {}}}{}\n",
-                p.scenario,
-                p.placement,
-                p.gpus,
-                p.iterations,
-                p.events,
-                p.reshards,
-                f(p.makespan_ms),
-                f(p.p50_ms),
-                f(p.p99_ms),
-                p.fingerprint,
-                p.serve_queries,
-                f(p.serve_p50_ms),
-                f(p.serve_p99_ms),
-                f(p.serve_hit_rate),
-                p.serve_fingerprint,
-                f(p.wall_ms),
-                f(p.events_per_sec),
-                if i + 1 < self.points.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
+impl Artifact for ScenarioBenchReport {
+    const SPEC: Spec = Spec {
+        bench: "workload_scenarios",
+        key: &["scenario", "placement", "gpus", "iterations"],
+        timing: &["wall_ms", "events_per_sec"],
+        gates: &[
+            Gate::Drift("fingerprint"),
+            Gate::Drift("serve_fingerprint"),
+            Gate::Floor("events_per_sec"),
+        ],
+        tolerance: 0.25,
+    };
 
-    /// FNV-1a fingerprint over the canonical JSON with timing fields
-    /// blanked, so the value is identical whether or not timing ran.
-    pub fn fingerprint(&self) -> u64 {
-        let mut untimed = self.clone();
-        untimed.timed = false;
-        for p in &mut untimed.points {
-            p.wall_ms = TIMING_DISABLED;
-            p.events_per_sec = TIMING_DISABLED;
-        }
-        let mut hash = 0xCBF2_9CE4_8422_2325u64;
-        for byte in untimed.to_json().bytes() {
-            fnv_fold(&mut hash, byte as u64);
-        }
-        hash
-    }
-}
-
-/// Extracts a quoted string field from one canonical-JSON point line.
-fn field_str<'a>(line: &'a str, name: &str) -> Option<&'a str> {
-    let key = format!("\"{name}\": \"");
-    let start = line.find(&key)? + key.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// Parses the `(scenario, placement, gpus, iterations)` identity of one
-/// baseline point line (the key the gates match on).
-fn point_key(line: &str) -> Option<(String, String, usize, u64)> {
-    Some((
-        field_str(line, "scenario")?.to_string(),
-        field_str(line, "placement")?.to_string(),
-        field_num(line, "gpus")? as usize,
-        field_num(line, "iterations")? as u64,
-    ))
-}
-
-/// Compares a freshly computed (timed) report against a previously
-/// committed `BENCH_scenarios.json` payload and returns one line per DES
-/// wall-clock throughput regression below `1 - tolerance` of the
-/// baseline's rate. Sentinel/missing points on either side are skipped, so
-/// untimed runs and trimmed sweeps never false-positive.
-pub fn throughput_regressions(
-    current: &ScenarioBenchReport,
-    baseline_json: &str,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut baseline = Vec::new(); // (key, events_per_sec)
-    for line in baseline_json.lines() {
-        let (Some(key), Some(rate)) = (point_key(line), field_num(line, "events_per_sec")) else {
-            continue;
-        };
-        baseline.push((key, rate));
-    }
-    let mut regressions = Vec::new();
-    for p in &current.points {
-        if p.events_per_sec <= 0.0 {
-            continue; // sentinel: this run was untimed
-        }
-        let key = (
-            p.scenario.clone(),
-            p.placement.clone(),
-            p.gpus,
-            p.iterations,
-        );
-        let Some(&(_, base)) = baseline.iter().find(|(k, _)| *k == key) else {
-            continue;
-        };
-        if base <= 0.0 {
-            continue; // baseline was untimed
-        }
-        if p.events_per_sec < base * (1.0 - tolerance) {
-            regressions.push(format!(
-                "{}/{} x {} iters: {:.0} events/s is more than {:.0}% below the \
-                 baseline's {:.0} events/s",
-                p.scenario,
-                p.placement,
-                p.iterations,
-                p.events_per_sec,
-                tolerance * 100.0,
-                base,
-            ));
+    fn document(&self) -> Document {
+        let points = self.points.iter().map(|p| {
+            point!(p;
+                scenario: text, placement: text, gpus: int, iterations: int, events: int,
+                reshards: int, makespan_ms: float, p50_ms: float, p99_ms: float, fingerprint: hex,
+                serve_queries: int, serve_p50_ms: float, serve_p99_ms: float,
+                serve_hit_rate: float, serve_fingerprint: hex, wall_ms: float,
+                events_per_sec: float,
+            )
+        });
+        Document {
+            seed: self.seed,
+            timed: self.timed,
+            sections: vec![("points", points.collect())],
         }
     }
-    regressions
-}
-
-/// Compares both fingerprints of every point against a previously
-/// committed `BENCH_scenarios.json` payload (matched on `scenario` ×
-/// `placement` × `gpus` × `iterations`) and returns one line per drifted
-/// fingerprint. Drift means the simulated behaviour changed —
-/// `scenario_bench` *fails* on it unless `RECSHARD_BENCH_ALLOW_DRIFT=1`
-/// acknowledges an intentional change. Points missing on either side are
-/// skipped.
-pub fn fingerprint_drift(current: &ScenarioBenchReport, baseline_json: &str) -> Vec<String> {
-    let mut baseline = Vec::new(); // (key, des fingerprint, serve fingerprint)
-    for line in baseline_json.lines() {
-        let (Some(key), Some(des_fp), Some(serve_fp)) = (
-            point_key(line),
-            field_str(line, "fingerprint"),
-            field_str(line, "serve_fingerprint"),
-        ) else {
-            continue;
-        };
-        baseline.push((key, des_fp.to_string(), serve_fp.to_string()));
-    }
-    let mut drifted = Vec::new();
-    for p in &current.points {
-        let key = (
-            p.scenario.clone(),
-            p.placement.clone(),
-            p.gpus,
-            p.iterations,
-        );
-        let Some((_, base_des, base_serve)) = baseline.iter().find(|(k, _, _)| *k == key) else {
-            continue;
-        };
-        for (layer, fp, base) in [
-            ("DES", p.fingerprint, base_des),
-            ("serve", p.serve_fingerprint, base_serve),
-        ] {
-            let fp = format!("{fp:#018x}");
-            if &fp != base {
-                drifted.push(format!(
-                    "{}/{} x {} iters: {layer} fingerprint {fp} differs from baseline {base}",
-                    p.scenario, p.placement, p.iterations,
-                ));
-            }
-        }
-    }
-    drifted
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::TIMING_DISABLED;
 
     #[test]
     fn tiny_sweep_is_deterministic_and_locks_the_acceptance_criteria() {
@@ -714,55 +527,6 @@ mod tests {
         assert_eq!(untimed.fingerprint(), timed.fingerprint());
         assert!(timed.points[0].wall_ms >= 0.0);
         assert!(timed.points[0].events_per_sec > 0.0);
-    }
-
-    #[test]
-    fn gates_catch_drift_on_either_fingerprint_and_skip_sentinels() {
-        let mut cfg = ScenarioBenchConfig::tiny();
-        cfg.iterations = 150;
-        cfg.serve_queries = 150;
-        cfg.serve_warmup = 50;
-        cfg.include_timing = true;
-        let report = run_sweep(&cfg);
-        let baseline = report.to_json();
-
-        assert!(throughput_regressions(&report, &baseline, 0.25).is_empty());
-        assert!(fingerprint_drift(&report, &baseline).is_empty());
-
-        let mut slowed = report.clone();
-        for p in &mut slowed.points {
-            p.events_per_sec *= 0.5;
-        }
-        assert_eq!(
-            throughput_regressions(&slowed, &baseline, 0.25).len(),
-            report.points.len()
-        );
-        assert!(throughput_regressions(&slowed, &baseline, 0.6).is_empty());
-
-        let mut untimed = report.clone();
-        for p in &mut untimed.points {
-            p.wall_ms = TIMING_DISABLED;
-            p.events_per_sec = TIMING_DISABLED;
-        }
-        assert!(throughput_regressions(&untimed, &baseline, 0.25).is_empty());
-
-        // DES and serve fingerprints are gated independently.
-        let mut des_drift = report.clone();
-        des_drift.points[0].fingerprint ^= 1;
-        let lines = fingerprint_drift(&des_drift, &baseline);
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].contains("DES"), "{lines:?}");
-
-        let mut serve_drift = report.clone();
-        serve_drift.points[1].serve_fingerprint ^= 1;
-        let lines = fingerprint_drift(&serve_drift, &baseline);
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].contains("serve"), "{lines:?}");
-
-        let mut trimmed = report.clone();
-        trimmed.points.truncate(1);
-        assert!(throughput_regressions(&trimmed, &baseline, 0.25).is_empty());
-        assert!(fingerprint_drift(&trimmed, &baseline).is_empty());
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //! are always printed to stdout. The scaled-down sweep is regression-locked
 //! by `tests/golden_fingerprints.rs`.
 
+use crate::artifact::{fnv_fold, point, timing, Artifact, Document, Gate, Spec};
+use crate::report::env_u64;
 use crate::{skewed_model, Strategy};
 use recshard::{
     HierarchicalSolver, RecShardConfig, ScalableSolveReport, ScalableSolver, StructuredSolver,
@@ -25,9 +27,6 @@ use recshard_memsim::AnalyticalEstimator;
 use recshard_sharding::{ClusterSpec, DeviceClass, NodeTopology, ShardingPlan, SystemSpec};
 use recshard_stats::{DatasetProfile, DatasetProfiler};
 use std::time::Instant;
-
-/// Sentinel written to timing fields when wall-clock measurement is off.
-pub const TIMING_DISABLED: f64 = -1.0;
 
 /// Sweep configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,16 +73,11 @@ impl SolverBenchConfig {
     /// and `RECSHARD_BENCH_TIMING=1` measures wall times into the JSON.
     pub fn from_env() -> Self {
         let mut cfg = Self::full();
-        let get = |name: &str| std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok());
-        if let Some(max) = get("RECSHARD_SOLVER_MAX_TABLES") {
-            cfg.table_counts.retain(|&t| t as u64 <= max);
-        }
-        if let Some(max) = get("RECSHARD_SOLVER_MAX_GPUS") {
-            cfg.gpu_counts.retain(|&g| g as u64 <= max);
-        }
-        if let Some(seed) = get("RECSHARD_SEED") {
-            cfg.seed = seed;
-        }
+        let max_tables = env_u64("RECSHARD_SOLVER_MAX_TABLES", u64::MAX);
+        cfg.table_counts.retain(|&t| t as u64 <= max_tables);
+        let max_gpus = env_u64("RECSHARD_SOLVER_MAX_GPUS", u64::MAX);
+        cfg.gpu_counts.retain(|&g| g as u64 <= max_gpus);
+        cfg.seed = env_u64("RECSHARD_SEED", cfg.seed);
         cfg.include_timing = std::env::var("RECSHARD_BENCH_TIMING").as_deref() == Ok("1");
         cfg
     }
@@ -119,13 +113,14 @@ pub struct SweepPoint {
     pub internode_bytes_per_iter: f64,
     /// FNV-1a fingerprint of the scalable plan's placements.
     pub scalable_plan_fingerprint: u64,
-    /// Wall-clock times (ms), or [`TIMING_DISABLED`].
+    /// Wall-clock times (ms), or
+    /// [`TIMING_DISABLED`](crate::artifact::TIMING_DISABLED).
     pub wall_greedy_ms: f64,
-    /// Structured solve wall time (ms), or [`TIMING_DISABLED`].
+    /// Structured solve wall time (ms), or the sentinel.
     pub wall_structured_ms: f64,
-    /// Scalable solve wall time (ms), or [`TIMING_DISABLED`].
+    /// Scalable solve wall time (ms), or the sentinel.
     pub wall_scalable_ms: f64,
-    /// Hierarchical solve wall time (ms), or [`TIMING_DISABLED`].
+    /// Hierarchical solve wall time (ms), or the sentinel.
     pub wall_hierarchical_ms: f64,
 }
 
@@ -223,11 +218,6 @@ fn max_cost(
         .fold(0.0f64, f64::max)
 }
 
-pub(crate) fn fnv_fold(hash: &mut u64, word: u64) {
-    *hash ^= word;
-    *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-}
-
 fn plan_fingerprint(plan: &ShardingPlan) -> u64 {
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
     for p in plan.placements() {
@@ -287,13 +277,7 @@ pub fn run_sweep(cfg: &SolverBenchConfig) -> SolverBenchReport {
             let internode_bytes = AnalyticalEstimator::new(&profile, &system, model.batch_size())
                 .internode_bytes_per_iteration(&hier_plan);
 
-            let gate = |ms: f64| {
-                if cfg.include_timing {
-                    ms
-                } else {
-                    TIMING_DISABLED
-                }
-            };
+            let gate = |ms: f64| timing(cfg.include_timing, ms);
             points.push(SweepPoint {
                 tables,
                 gpus,
@@ -369,161 +353,53 @@ pub fn run_sweep(cfg: &SolverBenchConfig) -> SolverBenchReport {
     }
 }
 
-impl SolverBenchReport {
-    /// Canonical JSON serialisation (the `BENCH_solver.json` payload):
-    /// key order fixed, floats in `{:.9e}`, one point per line.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"bench\": \"solver_scaling\",\n");
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"timed\": {},\n", self.timed));
-        out.push_str("  \"timing_sentinel\": \"-1 = timing disabled for byte-stable output\",\n");
-        out.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            let f = |x: f64| format!("{x:.9e}");
-            out.push_str(&format!(
-                "    {{\"tables\": {}, \"gpus\": {}, \"nodes\": {}, \
-                 \"greedy_cost_ms\": {}, \"structured_cost_ms\": {}, \
-                 \"scalable_cost_ms\": {}, \"hierarchical_cost_ms\": {}, \
-                 \"scalable_vs_greedy\": {}, \"scalable_vs_structured\": {}, \
-                 \"buckets\": {}, \"compression_ratio\": {}, \
-                 \"internode_bytes_per_iter\": {}, \
-                 \"scalable_plan_fingerprint\": \"{:#018x}\", \
-                 \"wall_greedy_ms\": {}, \"wall_structured_ms\": {}, \
-                 \"wall_scalable_ms\": {}, \"wall_hierarchical_ms\": {}}}{}\n",
-                p.tables,
-                p.gpus,
-                p.nodes,
-                f(p.greedy_cost_ms),
-                f(p.structured_cost_ms),
-                f(p.scalable_cost_ms),
-                f(p.hierarchical_cost_ms),
-                f(p.scalable_vs_greedy),
-                f(p.scalable_vs_structured),
-                p.buckets,
-                f(p.compression_ratio),
-                f(p.internode_bytes_per_iter),
-                p.scalable_plan_fingerprint,
-                f(p.wall_greedy_ms),
-                f(p.wall_structured_ms),
-                f(p.wall_scalable_ms),
-                f(p.wall_hierarchical_ms),
-                if i + 1 < self.points.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"hetero_points\": [\n");
-        for (i, p) in self.hetero.iter().enumerate() {
-            let f = |x: f64| format!("{x:.9e}");
-            out.push_str(&format!(
-                "    {{\"tables\": {}, \"gpus\": {}, \"big_gpus\": {}, \
-                 \"small_gpus\": {}, \"greedy_cost_ms\": {}, \
-                 \"scalable_cost_ms\": {}, \"scalable_vs_greedy\": {}, \
-                 \"scalable_plan_fingerprint\": \"{:#018x}\"}}{}\n",
-                p.tables,
-                p.gpus,
-                p.big_gpus,
-                p.small_gpus,
-                f(p.greedy_cost_ms),
-                f(p.scalable_cost_ms),
-                f(p.scalable_vs_greedy),
-                p.scalable_plan_fingerprint,
-                if i + 1 < self.hetero.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// FNV-1a fingerprint over the canonical JSON with timing fields
-    /// blanked, so the value is identical whether or not timing ran.
-    pub fn fingerprint(&self) -> u64 {
-        let mut untimed = self.clone();
-        untimed.timed = false;
-        for p in &mut untimed.points {
-            p.wall_greedy_ms = TIMING_DISABLED;
-            p.wall_structured_ms = TIMING_DISABLED;
-            p.wall_scalable_ms = TIMING_DISABLED;
-            p.wall_hierarchical_ms = TIMING_DISABLED;
-        }
-        let mut hash = 0xCBF2_9CE4_8422_2325u64;
-        for byte in untimed.to_json().bytes() {
-            fnv_fold(&mut hash, byte as u64);
-        }
-        hash
-    }
-}
-
-/// Extracts a numeric field from one canonical-JSON point line.
-pub(crate) fn field_num(line: &str, name: &str) -> Option<f64> {
-    let key = format!("\"{name}\": ");
-    let start = line.find(&key)? + key.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Compares a freshly computed report against a previously committed
-/// `BENCH_solver.json` payload and returns one human-readable line per
-/// *cost-ratio regression*: a sweep point (matched on `tables` × `gpus`)
-/// whose `scalable_cost_ms` — or a hetero point whose class-aware cost —
-/// grew by more than `tolerance` (relative). Points missing on either side
-/// are ignored, so trimming the sweep via the `RECSHARD_SOLVER_MAX_*`
-/// environment overrides never false-positives.
-///
-/// This is deliberately stronger than fingerprint comparison: a fingerprint
-/// flags *any* plan change, while this gate fails only when the perf
-/// trajectory actually regresses.
-pub fn cost_regressions(
-    current: &SolverBenchReport,
-    baseline_json: &str,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut in_hetero = false;
-    let mut baseline_points = Vec::new(); // (hetero, tables, gpus, scalable_cost)
-    for line in baseline_json.lines() {
-        if line.contains("\"hetero_points\"") {
-            in_hetero = true;
-        }
-        let (Some(tables), Some(gpus), Some(cost)) = (
-            field_num(line, "tables"),
-            field_num(line, "gpus"),
-            field_num(line, "scalable_cost_ms"),
-        ) else {
-            continue;
-        };
-        baseline_points.push((in_hetero, tables as usize, gpus as usize, cost));
-    }
-
-    let mut regressions = Vec::new();
-    let mut check = |hetero: bool, tables: usize, gpus: usize, cost: f64| {
-        let Some(&(_, _, _, base)) = baseline_points
-            .iter()
-            .find(|&&(h, t, g, _)| h == hetero && t == tables && g == gpus)
-        else {
-            return;
-        };
-        if cost > base * (1.0 + tolerance) {
-            regressions.push(format!(
-                "{}{tables} tables x {gpus} GPUs: scalable cost {cost:.6e} ms exceeds                  baseline {base:.6e} ms by more than {:.1}%",
-                if hetero { "hetero " } else { "" },
-                tolerance * 100.0,
-            ));
-        }
+impl Artifact for SolverBenchReport {
+    /// Gated on cost regressions, not on mere plan-fingerprint drift.
+    const SPEC: Spec = Spec {
+        bench: "solver_scaling",
+        key: &["tables", "gpus"],
+        timing: &[
+            "wall_greedy_ms",
+            "wall_structured_ms",
+            "wall_scalable_ms",
+            "wall_hierarchical_ms",
+        ],
+        gates: &[Gate::Ceiling("scalable_cost_ms")],
+        tolerance: 0.02,
     };
-    for p in &current.points {
-        check(false, p.tables, p.gpus, p.scalable_cost_ms);
+
+    fn document(&self) -> Document {
+        let points = self.points.iter().map(|p| {
+            point!(p;
+                tables: int, gpus: int, nodes: int, greedy_cost_ms: float,
+                structured_cost_ms: float, scalable_cost_ms: float, hierarchical_cost_ms: float,
+                scalable_vs_greedy: float, scalable_vs_structured: float, buckets: int,
+                compression_ratio: float, internode_bytes_per_iter: float,
+                scalable_plan_fingerprint: hex, wall_greedy_ms: float, wall_structured_ms: float,
+                wall_scalable_ms: float, wall_hierarchical_ms: float,
+            )
+        });
+        let hetero = self.hetero.iter().map(|h| {
+            point!(h;
+                tables: int, gpus: int, big_gpus: int, small_gpus: int, greedy_cost_ms: float,
+                scalable_cost_ms: float, scalable_vs_greedy: float, scalable_plan_fingerprint: hex,
+            )
+        });
+        Document {
+            seed: self.seed,
+            timed: self.timed,
+            sections: vec![
+                ("points", points.collect()),
+                ("hetero_points", hetero.collect()),
+            ],
+        }
     }
-    for h in &current.hetero {
-        check(true, h.tables, h.gpus, h.scalable_cost_ms);
-    }
-    regressions
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::TIMING_DISABLED;
 
     #[test]
     fn tiny_sweep_is_deterministic_and_sound() {
@@ -585,39 +461,6 @@ mod tests {
             uniform.total_hbm_capacity()
         );
         assert_eq!(mixed.hbm_capacity(0), 3 * mixed.hbm_capacity(3));
-    }
-
-    #[test]
-    fn cost_regression_gate_accepts_itself_and_catches_inflation() {
-        let report = run_sweep(&SolverBenchConfig::tiny());
-        let baseline = report.to_json();
-        assert!(
-            cost_regressions(&report, &baseline, 0.02).is_empty(),
-            "a report can never regress against its own serialisation"
-        );
-
-        // Inflate every current cost by 10%: a 2% gate must flag every
-        // matched point, uniform and hetero alike.
-        let mut inflated = report.clone();
-        for p in &mut inflated.points {
-            p.scalable_cost_ms *= 1.1;
-        }
-        for h in &mut inflated.hetero {
-            h.scalable_cost_ms *= 1.1;
-        }
-        let regressions = cost_regressions(&inflated, &baseline, 0.02);
-        assert_eq!(
-            regressions.len(),
-            report.points.len() + report.hetero.len(),
-            "every inflated point must be flagged: {regressions:?}"
-        );
-        // A looser 20% gate accepts the same drift.
-        assert!(cost_regressions(&inflated, &baseline, 0.2).is_empty());
-
-        // Baseline/current sweep-shape mismatches are ignored, not flagged.
-        let mut trimmed = report.clone();
-        trimmed.points.truncate(1);
-        assert!(cost_regressions(&trimmed, &baseline, 0.02).is_empty());
     }
 
     #[test]

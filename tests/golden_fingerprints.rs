@@ -3,8 +3,9 @@
 //!
 //! Every `RunSummary` carries an order-sensitive FNV-1a hash over the entire
 //! event log, so a seeded run is fingerprint-stable by construction. These
-//! tests commit the fingerprints of fixed, scaled-down versions of the
-//! `des_throughput` and `fig13_scaling` (DES backend) configurations and
+//! tests commit the fingerprints of fixed, scaled-down versions of the DES
+//! throughput comparison (every strategy on the skewed workload), the
+//! `fig13_scaling` DES backend and the three `BENCH_*.json` sweeps, and
 //! assert bit-for-bit stability: any change to the event engine, the
 //! workload sampler, the service-time model, the remap layer or the
 //! strategy solvers that alters a single event — its time, order or payload
@@ -14,6 +15,9 @@
 //! constants by running the failing test and copying the `actual` values
 //! from the assertion message.
 
+use recshard_bench::artifact::Artifact;
+use recshard_bench::des_bench::{self, DesBenchConfig};
+use recshard_bench::scenario_bench::{self, ScenarioBenchConfig};
 use recshard_bench::solver_bench::{run_sweep, SolverBenchConfig};
 use recshard_bench::{skewed_model, ExperimentConfig, Strategy};
 use recshard_data::RmKind;
@@ -21,7 +25,7 @@ use recshard_des::{ArrivalProcess, ClusterConfig, ClusterSimulator, RunSummary};
 use recshard_sharding::SystemSpec;
 use recshard_stats::DatasetProfiler;
 
-/// Committed fingerprints of the scaled-down `des_throughput` run, in
+/// Committed fingerprints of the scaled-down DES throughput run, in
 /// `Strategy::all()` order (SB, LB, SBL, RecShard).
 const DES_THROUGHPUT_GOLDEN: [u64; 4] = [
     0x7687_f9c4_1968_5c4b,
@@ -41,6 +45,14 @@ const FIG13_DES_GOLDEN: u64 = 0x088f_5c6b_4ad9_b186;
 /// `SOLVER_SCALING_PLAN_GOLDEN`, which kept its pre-hetero values).
 const SOLVER_SCALING_GOLDEN: u64 = 0x5d2c_8486_c7dd_dbce;
 
+/// Committed fingerprint of the tiny `des_bench` sweep: the FNV-1a hash of
+/// the canonical `BENCH_des.json` payload with timing fields blanked.
+const DES_BENCH_GOLDEN: u64 = 0x9a53_f5c1_bf32_5ba4;
+
+/// Committed fingerprint of the tiny `scenario_bench` sweep: the FNV-1a hash
+/// of the canonical `BENCH_scenarios.json` payload with timing fields blanked.
+const SCENARIO_BENCH_GOLDEN: u64 = 0x0f00_a5b5_de68_ecb4;
+
 /// Committed per-point scalable-plan fingerprints of the tiny sweep
 /// (placement-level regression lock, finer than the JSON hash).
 const SOLVER_SCALING_PLAN_GOLDEN: [u64; 2] = [0x2fb9_1b57_659d_ddcb, 0x97c4_2462_237c_40fd];
@@ -49,10 +61,9 @@ const SOLVER_SCALING_PLAN_GOLDEN: [u64; 2] = [0x2fb9_1b57_659d_ddcb, 0x97c4_2462
 /// `hetero_scaling` points (2 big + 2 small GPUs).
 const HETERO_SCALING_PLAN_GOLDEN: [u64; 2] = [0x3a85_a2fe_9293_a897, 0x1695_d4a3_9a86_b9e7];
 
-/// The scaled-down `des_throughput` configuration: same skewed workload
-/// shape, same capacity pressure (HBM holds ~1/3 of the model), fixed
-/// arrival interval instead of the binary's calibration so the golden value
-/// does not depend on floating-point calibration output formatting.
+/// The scaled-down DES throughput configuration: the skewed workload under
+/// capacity pressure (HBM holds ~1/3 of the model) at a fixed arrival
+/// interval, so the golden value does not depend on a calibration step.
 fn des_throughput_run(strategy: Strategy) -> RunSummary {
     let model = skewed_model(24);
     let system = SystemSpec::uniform(
@@ -137,7 +148,8 @@ fn solver_scaling_fingerprint_is_bit_for_bit_stable() {
         assert_eq!(
             h.scalable_plan_fingerprint,
             golden,
-            "{} tables mixed cluster: hetero scalable plan drifted              (actual {:#018x}, golden {:#018x}); all actuals: {:?}",
+            "{} tables mixed cluster: hetero scalable plan drifted \
+             (actual {:#018x}, golden {:#018x}); all actuals: {:?}",
             h.tables,
             h.scalable_plan_fingerprint,
             golden,
@@ -191,5 +203,23 @@ fn fig13_des_backend_fingerprint_is_bit_for_bit_stable() {
         summary.fingerprint, FIG13_DES_GOLDEN,
         "fig13 DES backend: fingerprint drifted (actual {:#018x}, golden {:#018x})",
         summary.fingerprint, FIG13_DES_GOLDEN
+    );
+}
+
+#[test]
+fn des_bench_fingerprint_is_bit_for_bit_stable() {
+    let actual = des_bench::run_sweep(&DesBenchConfig::tiny()).fingerprint();
+    assert_eq!(
+        actual, DES_BENCH_GOLDEN,
+        "des_bench JSON drifted (actual {actual:#018x}, golden {DES_BENCH_GOLDEN:#018x})"
+    );
+}
+
+#[test]
+fn scenario_bench_fingerprint_is_bit_for_bit_stable() {
+    let actual = scenario_bench::run_sweep(&ScenarioBenchConfig::tiny()).fingerprint();
+    assert_eq!(
+        actual, SCENARIO_BENCH_GOLDEN,
+        "scenario_bench JSON drifted (actual {actual:#018x}, golden {SCENARIO_BENCH_GOLDEN:#018x})"
     );
 }

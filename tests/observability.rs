@@ -21,13 +21,13 @@ use recshard_serve::{ArrivalModel, InferenceServer, PolicyKind, ServeConfig};
 use recshard_sharding::SystemSpec;
 use recshard_stats::DatasetProfiler;
 
-/// Golden event-log fingerprint of the scaled-down `des_throughput`
+/// Golden event-log fingerprint of the scaled-down DES throughput
 /// RecShard run — the same constant `tests/golden_fingerprints.rs` commits
 /// (`DES_THROUGHPUT_GOLDEN[3]`). Re-asserted here under a no-op sink:
 /// instrumentation hooks must not move a single event.
 const DES_RECSHARD_GOLDEN: u64 = 0x8052_8467_260d_8801;
 
-/// The scaled-down `des_throughput` RecShard configuration of
+/// The scaled-down DES throughput RecShard configuration of
 /// `tests/golden_fingerprints.rs`, optionally with a no-op sink attached.
 fn golden_des_run(with_noop_sink: bool) -> RunSummary {
     let model = skewed_model(24);
