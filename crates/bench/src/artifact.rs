@@ -11,7 +11,7 @@
 //! [`TIMING_DISABLED`] sentinel otherwise, and [`Artifact::fingerprint`]
 //! blanks them so it is the same whether or not timing ran.
 //!
-//! [`check`] compares a fresh report against a committed baseline under the
+//! `check` compares a fresh report against a committed baseline under the
 //! artifact's declared [`Gate`]s. Points are matched per section on the
 //! declared [`Spec::key`] fields; points missing on either side are
 //! skipped, so trimmed sweeps never false-positive. [`gate_from_env`] runs
@@ -94,7 +94,7 @@ pub struct Spec {
     pub key: &'static [&'static str],
     /// Wall-clock fields, blanked by [`Artifact::fingerprint`].
     pub timing: &'static [&'static str],
-    /// The gates [`check`] applies.
+    /// The gates `check` applies.
     pub gates: &'static [Gate],
     /// Relative tolerance of the rate and cost gates unless
     /// `RECSHARD_BENCH_TOLERANCE` overrides it.

@@ -136,8 +136,9 @@ impl ExperimentConfig {
     }
 
     /// The discrete-event cluster configuration matching this experiment
-    /// scale: same traced batch and batch scaling as [`sim_config`]
-    /// (Self::sim_config), `iterations` simulated arrivals at `arrival`.
+    /// scale: same traced batch and batch scaling as
+    /// [`sim_config`](Self::sim_config), `iterations` simulated arrivals at
+    /// `arrival`.
     pub fn des_config(&self, iterations: u64, arrival: ArrivalProcess) -> ClusterConfig {
         ClusterConfig {
             batch_size: self.sim_batch,

@@ -19,8 +19,8 @@
 //! small absolute floor on the comparison reflects that tails below ~1% of
 //! accesses cannot move the cost at the 1% level regardless.
 //!
-//! The scalable solver then builds one [`TableCostModel`]
-//! (`crate::cost::TableCostModel`) per bucket representative and runs split
+//! The scalable solver then builds one
+//! [`TableCostModel`](crate::cost::TableCostModel) per bucket representative and runs split
 //! selection over buckets weighted by member count, collapsing the dominant
 //! `O(tables × icdf_steps)` term of formulation time by the bucketing
 //! compression ratio (reported by the `solver_scaling` bench).

@@ -12,8 +12,8 @@
 //!
 //! The formulation grows as `O(M * J * steps)` binaries, so it is only
 //! practical for small instances; its role in this reproduction is to provide
-//! *ground truth* against which the scalable [`StructuredSolver`]
-//! (`crate::solver`) is validated.
+//! *ground truth* against which the scalable
+//! [`StructuredSolver`](crate::solver::StructuredSolver) is validated.
 
 use crate::config::RecShardConfig;
 use crate::cost::TableCostModel;
@@ -93,12 +93,17 @@ impl MilpFormulation {
                     .collect()
             })
             .collect();
-        let costs: &Vec<TableCostModel> = &costs_by_class[0];
+        let costs = costs_by_class
+            .first()
+            .ok_or_else(|| RecShardError::InvalidConfig("system has no device classes".into()))?;
 
-        // Normalise coefficient magnitudes so the Big-M simplex stays well
-        // conditioned: memory constraints are expressed relative to the
-        // largest per-option HBM footprint and costs relative to the largest
-        // per-option weighted cost (over every device class).
+        // Normalise coefficient magnitudes to O(1): the sparse dual simplex
+        // uses absolute tolerances (1e-9 optimality, 1e-7 feasibility, 1e-11
+        // pivots), which only mean the same thing on every instance when
+        // byte- and millisecond-sized coefficients share one scale. Memory
+        // constraints are expressed relative to the largest per-option HBM
+        // footprint and costs relative to the largest per-option weighted
+        // cost (over every device class).
         let mem_scale = 1.0
             / costs
                 .iter()
@@ -235,10 +240,7 @@ impl MilpFormulation {
             milp.add_constraint(format!("cost_{m}"), terms, ConstraintSense::Le, 0.0);
         }
 
-        let costs = costs_by_class
-            .into_iter()
-            .next()
-            .expect("at least one device class");
+        let costs = costs.clone();
         Ok((
             milp,
             MilpVariables {
@@ -322,6 +324,9 @@ impl MilpFormulation {
         let solution = milp.solve_observed(options, obs)?;
         let num_tables = model.num_features();
         let num_gpus = system.num_gpus();
+        let last_gpu = num_gpus
+            .checked_sub(1)
+            .ok_or_else(|| RecShardError::InvalidConfig("system has no GPUs".into()))?;
         let steps = self.config.icdf_steps;
 
         let mut placements = Vec::with_capacity(num_tables);
@@ -333,27 +338,13 @@ impl MilpFormulation {
             .collect();
         let mut next_in_class = vec![0usize; system.num_classes()];
         for (j, spec) in model.features().iter().enumerate() {
-            let gpu = (0..num_gpus)
-                .max_by(|&a, &b| {
-                    solution
-                        .value(vars.p[a][j])
-                        .partial_cmp(&solution.value(vars.p[b][j]))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .expect("at least one GPU");
+            let gpu = last_argmax(last_gpu, |m| solution.value(vars.p[m][j]));
             if canonical_of[gpu] == usize::MAX {
                 let class = system.class_of(gpu);
                 canonical_of[gpu] = class_ids[class][next_in_class[class]];
                 next_in_class[class] += 1;
             }
-            let step = (0..=steps)
-                .max_by(|&a, &b| {
-                    solution
-                        .value(vars.x[j][a])
-                        .partial_cmp(&solution.value(vars.x[j][b]))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .expect("at least one step");
+            let step = last_argmax(steps, |i| solution.value(vars.x[j][i]));
             placements.push(TablePlacement {
                 table: spec.id,
                 gpu: canonical_of[gpu],
@@ -380,6 +371,15 @@ impl MilpFormulation {
         let (milp, vars, _) = self.build(model, profile, system)?;
         Ok(milp.solve()?.objective() / vars.cost_scale)
     }
+}
+
+/// The index in `0..=last` with the largest value. Ties and NaN comparisons
+/// go to the later index, exactly as with `Iterator::max_by`.
+fn last_argmax(last: usize, value: impl Fn(usize) -> f64) -> usize {
+    (1..=last).fold(0, |best, i| match value(best).partial_cmp(&value(i)) {
+        Some(std::cmp::Ordering::Greater) => best,
+        _ => i,
+    })
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! The production-scale placement solver: bucketing + structured phases.
 //!
 //! [`ScalableSolver`] produces the same three-phase plan shape as
-//! [`StructuredSolver`](crate::solver::StructuredSolver) — split selection
+//! [`StructuredSolver`] — split selection
 //! against the aggregate HBM budget, min-max LPT assignment with bottleneck
 //! local search, per-GPU backfill — but runs the expensive per-table work
 //! once per *bucket* of near-identical tables
-//! ([`TableBuckets`](crate::bucketing::TableBuckets)):
+//! ([`TableBuckets`]):
 //!
 //! * one [`TableCostModel`] is built per bucket representative instead of per
 //!   table (the `O(tables × icdf_steps)` formulation term shrinks by the

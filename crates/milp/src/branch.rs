@@ -4,15 +4,14 @@
 //! simplex ([`crate::sparse`]) warm-started from its parent's optimal basis —
 //! a child differs from its parent in exactly one variable bound, so the
 //! parent basis stays dual feasible and re-optimisation takes a handful of
-//! pivots. Models outside the sparse solver's dual-feasible-start scope (a
-//! variable whose cost sign demands an infinite bound) fall back to the dense
-//! Big-M tableau per node, preserving the old behaviour.
+//! pivots. It is the only LP engine: a model outside its dual-feasible-start
+//! scope (a variable whose cost sign demands an infinite bound) is rejected
+//! up front with [`MilpError::InvalidModel`].
 
 use crate::error::MilpError;
 use crate::model::{Model, Sense, VarKind};
-use crate::simplex::{LpProblem, EPS};
 use crate::solution::{Solution, SolveStats, Status};
-use crate::sparse::{BasisSnapshot, SparseLp};
+use crate::sparse::{BasisSnapshot, SparseLp, SparseLpSolution};
 use recshard_obs::{ObsHandle, PruneReason, TraceEvent};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -21,6 +20,8 @@ use std::rc::Rc;
 /// Integrality tolerance: values within this distance of an integer are
 /// treated as integral.
 const INT_TOL: f64 = 1e-6;
+/// Slack allowed when deciding whether a branch's bounds still overlap.
+const EPS: f64 = 1e-7;
 
 /// Knobs of the branch-and-bound driver (see [`Model::solve_with`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +48,7 @@ struct Node {
     lower: Vec<f64>,
     upper: Vec<f64>,
     /// Parent's optimal basis for the dual-simplex warm start.
-    basis: Option<Rc<BasisSnapshot>>,
+    basis: Rc<BasisSnapshot>,
 }
 
 impl PartialEq for Node {
@@ -72,84 +73,54 @@ impl Ord for Node {
     }
 }
 
-/// One node's relaxation result, backend-independent.
-struct NodeLp {
-    objective: f64,
-    values: Vec<f64>,
-    pivots: usize,
-    /// Basis refactorisations (0 on the dense fallback, which has none).
-    refactorizations: usize,
-    basis: Option<Rc<BasisSnapshot>>,
-}
-
 /// Branch-and-bound driver for a [`Model`].
 pub struct BranchAndBound<'a> {
     model: &'a Model,
-    sparse: Option<SparseLp>,
+    lp: SparseLp,
     options: SolveOptions,
 }
 
 impl<'a> BranchAndBound<'a> {
     /// Creates a driver for the model with default options.
-    pub fn new(model: &'a Model) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// As [`SparseLp::new`].
+    pub fn new(model: &'a Model) -> Result<Self, MilpError> {
         Self::with_options(model, SolveOptions::default())
     }
 
     /// Creates a driver with explicit options.
-    pub fn with_options(model: &'a Model, options: SolveOptions) -> Self {
-        Self {
+    ///
+    /// # Errors
+    ///
+    /// As [`SparseLp::new`].
+    pub fn with_options(model: &'a Model, options: SolveOptions) -> Result<Self, MilpError> {
+        Ok(Self {
             model,
-            sparse: SparseLp::try_new(model),
+            lp: SparseLp::new(model)?,
             options,
-        }
+        })
     }
 
-    /// Solves one node's LP relaxation: sparse dual simplex (warm-started
-    /// when a parent basis is available and warm starts are enabled), dense
-    /// Big-M tableau otherwise or on numerical failure.
+    /// Solves one node's LP relaxation, warm-started from the parent basis
+    /// when there is one and warm starts are enabled.
     fn solve_node(
         &self,
         lower: &[f64],
         upper: &[f64],
         parent: Option<&Rc<BasisSnapshot>>,
-    ) -> Result<NodeLp, MilpError> {
-        if let Some(sparse) = &self.sparse {
-            let warm = parent.filter(|_| self.options.warm_start);
-            let attempt = match warm {
-                Some(basis) => sparse.solve_warm(lower, upper, basis),
-                None => sparse.solve_cold(lower, upper),
-            };
-            let attempt = match attempt {
-                // A numerically failed warm start retries cold before giving
-                // up on the sparse path entirely.
-                Err(MilpError::InvalidModel(_)) if warm.is_some() => {
-                    sparse.solve_cold(lower, upper)
-                }
-                other => other,
-            };
-            match attempt {
-                Ok(sol) => {
-                    return Ok(NodeLp {
-                        objective: sol.objective,
-                        values: sol.values,
-                        pivots: sol.pivots,
-                        refactorizations: sol.refactorizations,
-                        basis: Some(sol.basis),
-                    })
-                }
-                Err(MilpError::InvalidModel(_)) => {} // fall through to dense
-                Err(e) => return Err(e),
-            }
+    ) -> Result<SparseLpSolution, MilpError> {
+        let warm = parent.filter(|_| self.options.warm_start);
+        let attempt = match warm {
+            Some(basis) => self.lp.solve_warm(lower, upper, basis),
+            None => self.lp.solve_cold(lower, upper),
+        };
+        match attempt {
+            // A numerically failed warm start retries cold.
+            Err(MilpError::InvalidModel(_)) if warm.is_some() => self.lp.solve_cold(lower, upper),
+            other => other,
         }
-        let lp = LpProblem::from_model(self.model, lower.to_vec(), upper.to_vec());
-        let sol = lp.solve()?;
-        Ok(NodeLp {
-            objective: sol.objective,
-            values: sol.values,
-            pivots: sol.pivots,
-            refactorizations: 0,
-            basis: None,
-        })
     }
 
     /// Solves the MILP.
@@ -260,7 +231,7 @@ impl<'a> BranchAndBound<'a> {
                     continue;
                 }
             }
-            let lp_sol = match self.solve_node(&node.lower, &node.upper, node.basis.as_ref()) {
+            let lp_sol = match self.solve_node(&node.lower, &node.upper, Some(&node.basis)) {
                 Ok(s) => s,
                 Err(MilpError::Infeasible) => {
                     stats.nodes_pruned += 1;
@@ -431,10 +402,9 @@ mod tests {
     #[test]
     fn integer_rounding_matters() {
         // max x + y s.t. 2x + 2y <= 5, integer → optimum 2 (not 2.5).
-        // Unbounded-above integers exercise the dense fallback path.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", VarKind::Integer, 0.0, f64::INFINITY, 1.0);
-        let y = m.add_var("y", VarKind::Integer, 0.0, f64::INFINITY, 1.0);
+        let x = m.add_var("x", VarKind::Integer, 0.0, 10.0, 1.0);
+        let y = m.add_var("y", VarKind::Integer, 0.0, 10.0, 1.0);
         m.add_constraint("c", vec![(x, 2.0), (y, 2.0)], ConstraintSense::Le, 5.0);
         let sol = m.solve().unwrap();
         assert!((sol.objective() - 2.0).abs() < 1e-6);

@@ -5,16 +5,14 @@
 pub enum MilpError {
     /// The problem has no feasible solution.
     Infeasible,
-    /// The objective is unbounded in the optimization direction.
-    Unbounded,
     /// The branch-and-bound node limit was reached before proving optimality
     /// and no incumbent integer solution was found.
     NodeLimit {
         /// The configured node limit.
         limit: usize,
     },
-    /// The model is malformed (e.g. empty, or a constraint references an
-    /// unknown variable).
+    /// The model is malformed (e.g. empty, or a variable lacks the finite
+    /// bound its objective sign needs), or the LP engine failed numerically.
     InvalidModel(String),
 }
 
@@ -22,7 +20,6 @@ impl std::fmt::Display for MilpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MilpError::Infeasible => write!(f, "problem is infeasible"),
-            MilpError::Unbounded => write!(f, "objective is unbounded"),
             MilpError::NodeLimit { limit } => {
                 write!(
                     f,

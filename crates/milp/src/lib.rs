@@ -4,9 +4,10 @@
 //! a sparse bounded-variable revised simplex with dual-simplex warm starts
 //! ([`sparse`]) drives best-first branch-and-bound with incumbent pruning
 //! ([`branch`]); each node re-optimises from its parent's basis in a handful
-//! of dual pivots instead of re-solving from scratch. A dense-tableau Big-M
-//! primal simplex ([`simplex`]) remains as the fallback for models outside
-//! the sparse solver's dual-feasible-start scope.
+//! of dual pivots instead of re-solving from scratch. That simplex starts
+//! from a dual-feasible slack basis, so every variable needs a finite bound on
+//! the side its objective coefficient pulls it towards; [`Model::solve`]
+//! rejects a model without one as [`MilpError::InvalidModel`].
 //!
 //! The RecShard paper solves its embedding-table partitioning and placement
 //! problem with Gurobi. Gurobi is proprietary and unavailable here, so this
@@ -18,10 +19,10 @@
 //! ```
 //! use recshard_milp::{ConstraintSense, Model, Sense, VarKind};
 //!
-//! // maximize 3x + 2y  s.t.  x + y <= 4, x <= 2, x,y >= 0 integer
+//! // maximize 3x + 2y  s.t.  x + y <= 4, x <= 2, x,y in [0, 10] integer
 //! let mut m = Model::new(Sense::Maximize);
-//! let x = m.add_var("x", VarKind::Integer, 0.0, f64::INFINITY, 3.0);
-//! let y = m.add_var("y", VarKind::Integer, 0.0, f64::INFINITY, 2.0);
+//! let x = m.add_var("x", VarKind::Integer, 0.0, 10.0, 3.0);
+//! let y = m.add_var("y", VarKind::Integer, 0.0, 10.0, 2.0);
 //! m.add_constraint("cap", vec![(x, 1.0), (y, 1.0)], ConstraintSense::Le, 4.0);
 //! m.add_constraint("xcap", vec![(x, 1.0)], ConstraintSense::Le, 2.0);
 //! let sol = m.solve().unwrap();
@@ -35,7 +36,6 @@
 pub mod branch;
 pub mod error;
 pub mod model;
-pub mod simplex;
 pub mod solution;
 pub mod sparse;
 

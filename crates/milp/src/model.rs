@@ -54,8 +54,7 @@ pub struct Variable {
     pub name: String,
     /// Continuous / integer / binary.
     pub kind: VarKind,
-    /// Lower bound (may be 0 or any finite value; negative lower bounds are
-    /// supported via an internal shift).
+    /// Lower bound (`f64::NEG_INFINITY` when unbounded below).
     pub lower: f64,
     /// Upper bound (`f64::INFINITY` when unbounded above).
     pub upper: f64,
@@ -245,13 +244,16 @@ impl Model {
         true
     }
 
-    /// Solves the model to optimality (LP relaxation via simplex, integrality
-    /// via branch and bound).
+    /// Solves the model to optimality (LP relaxations via the sparse dual
+    /// simplex, integrality via branch and bound).
     ///
     /// # Errors
     ///
-    /// Returns [`MilpError::Infeasible`], [`MilpError::Unbounded`],
-    /// [`MilpError::NodeLimit`] or [`MilpError::InvalidModel`].
+    /// Returns [`MilpError::Infeasible`], [`MilpError::NodeLimit`] or
+    /// [`MilpError::InvalidModel`]. The latter covers a model with no
+    /// variables, a variable whose objective pulls it towards a bound that is
+    /// infinite (every such variable needs a finite bound on that side), and
+    /// numerical failure of the LP engine.
     pub fn solve(&self) -> Result<Solution, MilpError> {
         self.solve_with(crate::branch::SolveOptions::default())
     }
@@ -281,7 +283,7 @@ impl Model {
         if self.variables.is_empty() {
             return Err(MilpError::InvalidModel("model has no variables".into()));
         }
-        BranchAndBound::with_options(self, options).solve_observed(obs)
+        BranchAndBound::with_options(self, options)?.solve_observed(obs)
     }
 }
 
@@ -333,5 +335,21 @@ mod tests {
     fn empty_model_is_invalid() {
         let m = Model::new(Sense::Minimize);
         assert!(matches!(m.solve(), Err(MilpError::InvalidModel(_))));
+    }
+
+    #[test]
+    fn unbounded_positive_cost_variable_is_invalid() {
+        // max x + y with y unbounded above: no finite bound for the
+        // dual-feasible start, so the solve is rejected by name.
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.add_var("x", VarKind::Integer, 0.0, 4.0, 1.0);
+        let y = m.add_var("y_unbounded", VarKind::Integer, 0.0, f64::INFINITY, 1.0);
+        m.add_constraint("c", vec![(x, 1.0), (y, 1.0)], ConstraintSense::Le, 5.0);
+        match m.solve() {
+            Err(MilpError::InvalidModel(msg)) => {
+                assert!(msg.contains("y_unbounded"), "{msg}");
+            }
+            other => panic!("expected InvalidModel, got {other:?}"),
+        }
     }
 }

@@ -1,26 +1,21 @@
 //! Sparse bounded-variable revised simplex with dual-simplex warm starts.
 //!
-//! The dense Big-M tableau in [`crate::simplex`] rebuilds an
-//! `O(m · (n + 2m))` tableau per solve and turns every finite variable bound
-//! into an extra row, which is what made the exact MILP path collapse beyond
-//! toy sizes. This module keeps the constraint matrix in sparse
-//! column-major form, handles variable bounds *natively* (no bound rows, no
-//! artificial columns), and maintains only a dense `m × m` basis inverse that
-//! is updated in product form per pivot and refactorised periodically for
-//! numerical hygiene.
+//! The constraint matrix is kept in sparse column-major form and variable
+//! bounds are handled *natively* (no bound rows, no artificial columns); the
+//! only dense state is the `m × m` basis inverse, updated in product form per
+//! pivot and refactorised periodically for numerical hygiene.
 //!
 //! Branch-and-bound is the intended customer: a node differs from its parent
 //! only in one variable bound, so the parent's optimal basis stays *dual
 //! feasible* and the dual simplex re-optimises in a handful of pivots instead
 //! of re-solving from scratch ([`SparseLp::solve_warm`]).
 //!
-//! Scope: the solver requires a dual-feasible starting point from the slack
-//! basis, which exists whenever every variable with a negative
-//! minimization-form cost has a finite upper bound and every variable with a
-//! positive cost has a finite lower bound (true for all RecShard
-//! formulations: binaries plus the non-negative max-cost variable).
-//! [`SparseLp::try_new`] returns `None` otherwise and callers fall back to
-//! the dense tableau.
+//! Scope: the solver starts from the all-slack basis, which is dual feasible
+//! whenever every variable with a negative minimization-form cost has a
+//! finite upper bound and every variable with a positive cost has a finite
+//! lower bound (true for all RecShard formulations: binaries plus the
+//! non-negative max-cost variable). [`SparseLp::new`] rejects any other model
+//! with [`MilpError::InvalidModel`] naming the first offending variable.
 
 use crate::error::MilpError;
 use crate::model::{ConstraintSense, Model, Sense};
@@ -114,10 +109,14 @@ struct Workspace<'a> {
 }
 
 impl SparseLp {
-    /// Builds the standard form of `model`, or `None` when the model has a
-    /// variable whose cost sign demands an infinite bound for the
-    /// dual-feasible slack-basis start (callers then use the dense tableau).
-    pub fn try_new(model: &Model) -> Option<Self> {
+    /// Builds the standard form of `model`.
+    ///
+    /// # Errors
+    ///
+    /// [`MilpError::InvalidModel`] naming the first variable whose cost sign
+    /// needs a finite bound it lacks: the dual-feasible slack-basis start
+    /// places every structural variable at the bound its cost pulls it to.
+    pub fn new(model: &Model) -> Result<Self, MilpError> {
         let n = model.num_vars();
         let m = model.num_constraints();
         let maximize = model.sense() == Sense::Maximize;
@@ -127,20 +126,20 @@ impl SparseLp {
             .iter()
             .map(|v| sign * v.objective)
             .collect();
-        // The dual-feasible start must place every structural variable at a
-        // finite bound consistent with its cost sign.
         for (v, &c) in model.variables().iter().zip(&cost) {
-            let lower_ok = v.lower.is_finite();
-            let upper_ok = v.upper.is_finite();
-            let ok = if c > EPS {
-                lower_ok
+            let missing = if c > EPS {
+                (!v.lower.is_finite()).then_some("lower")
             } else if c < -EPS {
-                upper_ok
+                (!v.upper.is_finite()).then_some("upper")
             } else {
-                lower_ok || upper_ok
+                (!v.lower.is_finite() && !v.upper.is_finite()).then_some("lower or upper")
             };
-            if !ok {
-                return None;
+            if let Some(bound) = missing {
+                return Err(MilpError::InvalidModel(format!(
+                    "variable `{}` needs a finite {bound} bound for the \
+                     dual simplex's slack-basis start",
+                    v.name
+                )));
             }
         }
         let mut cols = vec![Vec::new(); n];
@@ -148,7 +147,7 @@ impl SparseLp {
         let mut slack_lower = Vec::with_capacity(m);
         let mut slack_upper = Vec::with_capacity(m);
         for (i, c) in model.constraints().iter().enumerate() {
-            // Accumulate duplicate terms exactly as the dense path does.
+            // Accumulate duplicate terms of one variable into one coefficient.
             let mut acc: Vec<(usize, f64)> = Vec::with_capacity(c.terms.len());
             for &(v, coeff) in &c.terms {
                 if let Some(e) = acc.iter_mut().find(|(j, _)| *j == v.index()) {
@@ -171,7 +170,7 @@ impl SparseLp {
             slack_lower.push(lo);
             slack_upper.push(hi);
         }
-        Some(Self {
+        Ok(Self {
             n,
             m,
             cols,
@@ -686,7 +685,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_dense_on_bounded_maximization() {
+    fn solves_bounded_maximization() {
         // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18, x,y in [0, 10].
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var("x", VarKind::Continuous, 0.0, 10.0, 3.0);
@@ -694,12 +693,36 @@ mod tests {
         m.add_constraint("c1", vec![(x, 1.0)], ConstraintSense::Le, 4.0);
         m.add_constraint("c2", vec![(y, 2.0)], ConstraintSense::Le, 12.0);
         m.add_constraint("c3", vec![(x, 3.0), (y, 2.0)], ConstraintSense::Le, 18.0);
-        let lp = SparseLp::try_new(&m).unwrap();
+        let lp = SparseLp::new(&m).unwrap();
         let (lo, hi) = bounds(&m);
         let sol = lp.solve_cold(&lo, &hi).unwrap();
         assert!((sol.objective - 36.0).abs() < 1e-6, "obj {}", sol.objective);
         assert!((sol.values[0] - 2.0).abs() < 1e-6);
         assert!((sol.values[1] - 6.0).abs() < 1e-6);
+
+        // A classic degenerate LP (x in [0, 10]) must terminate at the optimum.
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.add_var("x", VarKind::Continuous, 0.0, 10.0, 10.0);
+        let y = m.add_continuous("y", -57.0);
+        let z = m.add_continuous("z", -9.0);
+        let w = m.add_continuous("w", -24.0);
+        m.add_constraint(
+            "c1",
+            vec![(x, 0.5), (y, -5.5), (z, -2.5), (w, 9.0)],
+            ConstraintSense::Le,
+            0.0,
+        );
+        m.add_constraint(
+            "c2",
+            vec![(x, 0.5), (y, -1.5), (z, -0.5), (w, 1.0)],
+            ConstraintSense::Le,
+            0.0,
+        );
+        m.add_constraint("c3", vec![(x, 1.0)], ConstraintSense::Le, 1.0);
+        let lp = SparseLp::new(&m).unwrap();
+        let (lo, hi) = bounds(&m);
+        let sol = lp.solve_cold(&lo, &hi).unwrap();
+        assert!((sol.objective - 1.0).abs() < 1e-5, "obj {}", sol.objective);
     }
 
     #[test]
@@ -711,7 +734,7 @@ mod tests {
         m.add_constraint("sum", vec![(x, 1.0), (y, 1.0)], ConstraintSense::Ge, 10.0);
         m.add_constraint("xmin", vec![(x, 1.0)], ConstraintSense::Ge, 2.0);
         m.add_constraint("ymin", vec![(y, 1.0)], ConstraintSense::Ge, 3.0);
-        let lp = SparseLp::try_new(&m).unwrap();
+        let lp = SparseLp::new(&m).unwrap();
         let (lo, hi) = bounds(&m);
         let sol = lp.solve_cold(&lo, &hi).unwrap();
         assert!((sol.objective - 23.0).abs() < 1e-6, "obj {}", sol.objective);
@@ -722,7 +745,7 @@ mod tests {
         let y = m.add_continuous("y", 1.0);
         m.add_constraint("e1", vec![(x, 1.0), (y, 2.0)], ConstraintSense::Eq, 4.0);
         m.add_constraint("e2", vec![(x, 1.0), (y, -1.0)], ConstraintSense::Eq, 1.0);
-        let lp = SparseLp::try_new(&m).unwrap();
+        let lp = SparseLp::new(&m).unwrap();
         let (lo, hi) = bounds(&m);
         let sol = lp.solve_cold(&lo, &hi).unwrap();
         assert!((sol.objective - 3.0).abs() < 1e-6);
@@ -736,10 +759,19 @@ mod tests {
         let x = m.add_continuous("x", 1.0);
         m.add_constraint("a", vec![(x, 1.0)], ConstraintSense::Ge, 5.0);
         m.add_constraint("b", vec![(x, 1.0)], ConstraintSense::Le, 3.0);
-        let lp = SparseLp::try_new(&m).unwrap();
+        let lp = SparseLp::new(&m).unwrap();
         let (lo, hi) = bounds(&m);
         assert!(matches!(
             lp.solve_cold(&lo, &hi),
+            Err(MilpError::Infeasible)
+        ));
+
+        // Bound overrides with lower > upper are infeasible before any pivot.
+        let mut m = Model::new(Sense::Minimize);
+        let _x = m.add_continuous("x", 1.0);
+        let lp = SparseLp::new(&m).unwrap();
+        assert!(matches!(
+            lp.solve_cold(&[2.0], &[1.0]),
             Err(MilpError::Infeasible)
         ));
     }
@@ -750,7 +782,10 @@ mod tests {
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_continuous("x", 1.0);
         m.add_constraint("a", vec![(x, 1.0)], ConstraintSense::Ge, 0.0);
-        assert!(SparseLp::try_new(&m).is_none());
+        match SparseLp::new(&m) {
+            Err(MilpError::InvalidModel(msg)) => assert!(msg.contains("`x`"), "{msg}"),
+            other => panic!("expected InvalidModel, got {other:?}"),
+        }
     }
 
     #[test]
@@ -768,7 +803,7 @@ mod tests {
             ConstraintSense::Le,
             7.0,
         );
-        let lp = SparseLp::try_new(&m).unwrap();
+        let lp = SparseLp::new(&m).unwrap();
         let (lo, hi) = bounds(&m);
         let root = lp.solve_cold(&lo, &hi).unwrap();
 
@@ -793,10 +828,30 @@ mod tests {
         let x = m.add_var("x", VarKind::Continuous, 0.0, 10.0, 1.0);
         let y = m.add_var("y", VarKind::Continuous, 0.0, 10.0, 1.0);
         m.add_constraint("sum", vec![(x, 1.0), (y, 1.0)], ConstraintSense::Ge, 5.0);
-        let lp = SparseLp::try_new(&m).unwrap();
+        let lp = SparseLp::new(&m).unwrap();
         let sol = lp.solve_cold(&[3.0, 0.0], &[3.0, 10.0]).unwrap();
         assert!((sol.values[0] - 3.0).abs() < 1e-9);
         assert!((sol.values[1] - 2.0).abs() < 1e-6);
         assert!((sol.objective - 5.0).abs() < 1e-6);
+
+        // Unconstrained: max x + y, x in [0, 2], y in [1, 3] → both at upper.
+        let mut m = Model::new(Sense::Maximize);
+        let _x = m.add_var("x", VarKind::Continuous, 0.0, 2.0, 1.0);
+        let _y = m.add_var("y", VarKind::Continuous, 1.0, 3.0, 1.0);
+        let lp = SparseLp::new(&m).unwrap();
+        let (lo, hi) = bounds(&m);
+        let sol = lp.solve_cold(&lo, &hi).unwrap();
+        assert!((sol.objective - 5.0).abs() < 1e-6);
+        assert!((sol.values[0] - 2.0).abs() < 1e-6);
+        assert!((sol.values[1] - 3.0).abs() < 1e-6);
+
+        // Negative lower bound: min x, x in [-5, 10] → x = -5.
+        let mut m = Model::new(Sense::Minimize);
+        let _x = m.add_var("x", VarKind::Continuous, -5.0, 10.0, 1.0);
+        let lp = SparseLp::new(&m).unwrap();
+        let (lo, hi) = bounds(&m);
+        let sol = lp.solve_cold(&lo, &hi).unwrap();
+        assert!((sol.objective + 5.0).abs() < 1e-6);
+        assert!((sol.values[0] + 5.0).abs() < 1e-6);
     }
 }

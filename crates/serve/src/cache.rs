@@ -7,7 +7,7 @@
 //! front of it. [`ShardedCache`] is one GPU's cache: lock-striped for
 //! concurrent access (interior mutability behind `&self`), charged in bytes,
 //! with the eviction/admission decision delegated to a pluggable
-//! [`PolicyKind`](crate::PolicyKind).
+//! [`PolicyKind`].
 //!
 //! Victim selection uses a lazily invalidated min-heap: every touch pushes a
 //! fresh `(priority, stamp, slot)` entry and bumps the entry's stamp, so
