@@ -26,17 +26,7 @@ pub struct AccessCdf {
 impl AccessCdf {
     /// Builds the CDF from a per-row frequency map.
     pub fn from_frequency(freq: &FrequencyMap) -> Self {
-        let counts = freq.ranked_counts();
-        let mut cumulative = Vec::with_capacity(counts.len());
-        let mut running = 0u64;
-        for c in counts {
-            running += c;
-            cumulative.push(running);
-        }
-        Self {
-            cumulative,
-            total: freq.total_accesses(),
-        }
+        Self::from_ranked_counts(&freq.ranked_counts())
     }
 
     /// Builds a CDF directly from descending per-row access counts.
@@ -225,7 +215,7 @@ impl Icdf {
     /// Maximum number of rows (the rows needed for 100% access coverage —
     /// i.e. every row that was ever accessed).
     pub fn max_rows(&self) -> u64 {
-        *self.rows.last().expect("ICDF has at least one point")
+        self.rows.last().copied().unwrap_or(0)
     }
 }
 

@@ -102,11 +102,13 @@ impl DatasetProfiler {
         }
     }
 
-    /// Finalises the profile.
+    /// Finalises the profile. Each table's counts are ranked by one sort and
+    /// dropped before the next table's, so at most one map is expanded into
+    /// ranked vectors at a time.
     pub fn finish(self) -> DatasetProfile {
         let mut profiles = Vec::with_capacity(self.model.num_features());
-        for (i, spec) in self.model.features().iter().enumerate() {
-            let freq = &self.freqs[i];
+        for ((i, spec), freq) in self.model.features().iter().enumerate().zip(self.freqs) {
+            let (ranked_rows, ranked_counts) = freq.into_ranked();
             let present = self.present[i];
             let avg_pooling = if present > 0 {
                 self.lookups[i] as f64 / present as f64
@@ -128,8 +130,8 @@ impl DatasetProfiler {
                 total_lookups: self.lookups[i],
                 avg_pooling,
                 coverage,
-                cdf: AccessCdf::from_frequency(freq),
-                ranked_rows: freq.ranked_rows(),
+                cdf: AccessCdf::from_ranked_counts(&ranked_counts),
+                ranked_rows,
             });
         }
         DatasetProfile::new(profiles, self.samples_seen)

@@ -3,9 +3,94 @@
 
 use proptest::prelude::*;
 use recshard_stats::{AccessCdf, FrequencyMap};
+use std::collections::BTreeMap;
+
+/// One drawn operation: `(kind, row class, raw row, n)`.
+type Op = (u8, u8, u64, u64);
+
+/// Maps a drawn row class onto a row: the two extremes, a small range that
+/// collides heavily and regrows the table often, or the full `u64` range.
+fn row_of(class: u8, raw: u64) -> u64 {
+    match class {
+        0 => 0,
+        1 => u64::MAX,
+        2..=5 => raw % 64,
+        _ => raw,
+    }
+}
+
+/// Replays `ops` on a `FrequencyMap` and on a `BTreeMap` reference model:
+/// kind 0 is `record`, 1 is `record_n` (`n = 0` included) and 2 merges a
+/// one-row map holding `n` accesses.
+fn replay(ops: &[Op]) -> (FrequencyMap, BTreeMap<u64, u64>) {
+    let mut map = FrequencyMap::new();
+    let mut oracle = BTreeMap::new();
+    for &(kind, class, raw, n) in ops {
+        let row = row_of(class, raw);
+        let added = match kind {
+            0 => {
+                map.record(row);
+                1
+            }
+            1 => {
+                map.record_n(row, n);
+                n
+            }
+            _ => {
+                let mut other = FrequencyMap::new();
+                other.record_n(row, n);
+                map.merge(&other);
+                n
+            }
+        };
+        if added > 0 {
+            *oracle.entry(row).or_insert(0) += added;
+        }
+    }
+    (map, oracle)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every view of the map agrees with a `BTreeMap` reference model under
+    /// random `record`/`record_n`/`merge` sequences, extreme rows included.
+    #[test]
+    fn frequency_map_matches_btreemap_oracle(
+        ops in prop::collection::vec((0u8..3, 0u8..10, any::<u64>(), 0u64..5), 0..600),
+    ) {
+        let (map, oracle) = replay(&ops);
+        let pairs: Vec<(u64, u64)> = oracle.iter().map(|(&r, &c)| (r, c)).collect();
+        prop_assert_eq!(map.iter().collect::<Vec<_>>(), pairs.clone());
+        prop_assert_eq!(map.total_accesses(), oracle.values().sum::<u64>());
+        prop_assert_eq!(map.distinct_rows(), oracle.len() as u64);
+        prop_assert_eq!(map.is_empty(), oracle.is_empty());
+        for &(_, class, raw, _) in &ops {
+            let row = row_of(class, raw);
+            prop_assert_eq!(map.count(row), oracle.get(&row).copied().unwrap_or(0));
+        }
+        prop_assert_eq!(map.count(0), oracle.get(&0).copied().unwrap_or(0));
+        prop_assert_eq!(map.count(u64::MAX), oracle.get(&u64::MAX).copied().unwrap_or(0));
+
+        let mut ranked = pairs;
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let rows: Vec<u64> = ranked.iter().map(|&(r, _)| r).collect();
+        let counts: Vec<u64> = ranked.iter().map(|&(_, c)| c).collect();
+        prop_assert_eq!(map.ranked_rows(), rows.clone());
+        prop_assert_eq!(map.ranked_counts(), counts.clone());
+        prop_assert_eq!(map.into_ranked(), (rows, counts));
+    }
+
+    /// The same multiset recorded in two different orders compares equal.
+    #[test]
+    fn frequency_map_equality_ignores_insertion_order(
+        ops in prop::collection::vec((0u8..3, 0u8..10, any::<u64>(), 0u64..5), 0..300),
+    ) {
+        let (forward, _) = replay(&ops);
+        let reversed: Vec<Op> = ops.iter().rev().copied().collect();
+        let (backward, _) = replay(&reversed);
+        prop_assert_eq!(forward, backward);
+    }
 
     /// Total accesses and distinct-row counts are conserved by construction.
     #[test]

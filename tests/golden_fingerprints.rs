@@ -1,15 +1,16 @@
-//! Golden-fingerprint regression tests for the DES-backed experiment
-//! binaries.
+//! Golden-fingerprint regression tests for the profiler and the DES-backed
+//! experiment binaries.
 //!
 //! Every `RunSummary` carries an order-sensitive FNV-1a hash over the entire
 //! event log, so a seeded run is fingerprint-stable by construction. These
 //! tests commit the fingerprints of fixed, scaled-down versions of the DES
 //! throughput comparison (every strategy on the skewed workload), the
-//! `fig13_scaling` DES backend and the three `BENCH_*.json` sweeps, and
-//! assert bit-for-bit stability: any change to the event engine, the
-//! workload sampler, the service-time model, the remap layer or the
-//! strategy solvers that alters a single event — its time, order or payload
-//! — fails here *loudly* instead of silently shifting published numbers.
+//! `fig13_scaling` DES backend and the three `BENCH_*.json` sweeps, plus
+//! the profiles every plan starts from, and assert bit-for-bit stability:
+//! any change to the profiler, the event engine, the workload sampler, the
+//! service-time model, the remap layer or the strategy solvers that alters
+//! a single event — its time, order or payload — or a single profiled count
+//! fails here *loudly* instead of silently shifting published numbers.
 //!
 //! If a change is *intentional* (e.g. a new event type), re-derive the
 //! constants by running the failing test and copying the `actual` values
@@ -23,7 +24,7 @@ use recshard_bench::{skewed_model, ExperimentConfig, Strategy};
 use recshard_data::RmKind;
 use recshard_des::{ArrivalProcess, ClusterConfig, ClusterSimulator, RunSummary};
 use recshard_sharding::SystemSpec;
-use recshard_stats::DatasetProfiler;
+use recshard_stats::{DatasetProfile, DatasetProfiler};
 
 /// Committed fingerprints of the scaled-down DES throughput run, in
 /// `Strategy::all()` order (SB, LB, SBL, RecShard).
@@ -61,6 +62,33 @@ const SOLVER_SCALING_PLAN_GOLDEN: [u64; 2] = [0x2fb9_1b57_659d_ddcb, 0x97c4_2462
 /// `hetero_scaling` points (2 big + 2 small GPUs).
 const HETERO_SCALING_PLAN_GOLDEN: [u64; 2] = [0x3a85_a2fe_9293_a897, 0x1695_d4a3_9a86_b9e7];
 
+/// Committed profile fingerprints (see [`profile_fingerprint`]): RM3 at
+/// `ExperimentConfig::tiny()` scale, then `skewed_model(48)` at 3,000
+/// samples and seed `0xA5F0`.
+const PROFILE_GOLDEN: [u64; 2] = [0x9c60_0bc2_7cfe_a8e3, 0x2057_aa87_48e8_8a87];
+
+/// FNV-1a over every table's ranked rows, 100-step ICDF points, lookup and
+/// presence counts and average-pooling bits: the statistics a plan is
+/// solved from, checked directly rather than through the plans.
+fn profile_fingerprint(profile: &DatasetProfile) -> u64 {
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    let mut fold = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    for p in profile.profiles() {
+        fold(p.ranked_rows.len() as u64);
+        p.ranked_rows.iter().for_each(|&r| fold(r));
+        p.icdf(100).points().for_each(|(_, rows)| fold(rows));
+        fold(p.total_lookups);
+        fold(p.present_samples);
+        fold(p.avg_pooling.to_bits());
+    }
+    hash
+}
+
 /// The scaled-down DES throughput configuration: the skewed workload under
 /// capacity pressure (HBM holds ~1/3 of the model) at a fixed arrival
 /// interval, so the golden value does not depend on a calibration step.
@@ -85,6 +113,22 @@ fn des_throughput_run(strategy: Strategy) -> RunSummary {
         ..ClusterConfig::default()
     };
     ClusterSimulator::new(&model, &plan, &profile, &system, config).run()
+}
+
+#[test]
+fn profile_fingerprints_are_bit_for_bit_stable() {
+    let cfg = ExperimentConfig::tiny();
+    let actual = [
+        DatasetProfiler::profile_model(&cfg.model(RmKind::Rm3), cfg.profile_samples, cfg.seed),
+        DatasetProfiler::profile_model(&skewed_model(48), 3_000, 0xA5F0),
+    ]
+    .map(|p| profile_fingerprint(&p));
+    assert_eq!(
+        actual,
+        PROFILE_GOLDEN,
+        "profile drifted; actuals: {:?}",
+        actual.map(|h| format!("{h:#018x}"))
+    );
 }
 
 #[test]
