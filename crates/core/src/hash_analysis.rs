@@ -6,7 +6,7 @@
 //! RecShard reclaims that unused space by relegating it to UVM. This module
 //! provides the measured and analytic sweeps Figure 8 plots.
 
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use recshard_data::hash::{expected_collision_fraction, expected_usage};
 use recshard_data::{FeatureHasher, Zipf};
 use serde::{Deserialize, Serialize};
@@ -130,7 +130,6 @@ pub fn distinct_values_observed(
     for _ in 0..num_lookups {
         seen.insert(zipf.sample(&mut rng));
     }
-    let _ = rng.gen::<u64>();
     seen.len() as u64
 }
 
